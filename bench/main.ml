@@ -22,9 +22,9 @@ let ops_tests () =
   in
   let bitset = Repro_util.Bitset.create 65536 in
   Repro_util.Bitset.set bitset 12345;
-  let lru = Preload.Page_lru.create ~capacity:2048 in
+  let lru = Repro_util.Page_lru.create ~capacity:2048 in
   for i = 0 to 4095 do
-    ignore (Preload.Page_lru.touch lru i)
+    ignore (Repro_util.Page_lru.touch lru i)
   done;
   let evictor = Sgxsim.Clock_evictor.create ~capacity:1024 in
   let accessed = Array.make 4096 false in
@@ -48,7 +48,7 @@ let ops_tests () =
                (Repro_util.Bitset.mem bitset (Repro_util.Prng.int prng 65536))));
       Test.make ~name:"page_lru_touch"
         (Staged.stage (fun () ->
-             ignore (Preload.Page_lru.touch lru (Repro_util.Prng.int prng 4096))));
+             ignore (Repro_util.Page_lru.touch lru (Repro_util.Prng.int prng 4096))));
       Test.make ~name:"clock_victim"
         (Staged.stage (fun () ->
              ignore

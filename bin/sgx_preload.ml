@@ -1014,9 +1014,6 @@ let service_cmd =
           ~keep_going ~config ~fault_plan
           ~input_label:(Input.to_string input) ~scheme_for ~tags:schemes trace
       with
-      | Invalid_argument msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 1
       | Service.Cells_failed fs ->
         Printf.eprintf "service: %d cell(s) failed:\n" (List.length fs);
         List.iter
@@ -1069,11 +1066,21 @@ let () =
      Preloading for SGX Enclaves' (Middleware '20)"
   in
   let info = Cmd.info "sgx_preload" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            run_cmd; compare_cmd; profile_cmd; stats_cmd; record_cmd;
-            replay_cmd; validate_cmd; export_cmd; experiment_cmd; chaos_cmd;
-            fleet_cmd; service_cmd; list_cmd;
-          ]))
+  (* The input boundary: every validating constructor (Runner.Spec,
+     Service and Fleet configs, Experiments.run, trace/plan loaders)
+     rejects a bad value with Invalid_argument, Failure or Sys_error.
+     Each is a user error — report it and exit 1, never Cmdliner's 125
+     "internal error". *)
+  match
+    Cmd.eval ~catch:false
+      (Cmd.group info
+         [
+           run_cmd; compare_cmd; profile_cmd; stats_cmd; record_cmd;
+           replay_cmd; validate_cmd; export_cmd; experiment_cmd; chaos_cmd;
+           fleet_cmd; service_cmd; list_cmd;
+         ])
+  with
+  | code -> exit code
+  | exception (Invalid_argument msg | Failure msg | Sys_error msg) ->
+    Printf.eprintf "sgx_preload: %s\n" msg;
+    exit 1

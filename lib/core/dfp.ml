@@ -59,37 +59,38 @@ let predictor_for t thread =
       Hashtbl.add t.others key p;
       p
 
-(* Refresh a stream's pending window against what is actually still
-   queued, then queue the new predictions and record which ones the
-   enclave accepted.  Membership is the enclave's per-vpage queue index
-   (O(1) per page) — materializing the whole queue list and running
-   [List.mem] against it per prediction made every fault O(queue). *)
-let issue_preloads enclave ~now stream predict =
-  let old_pending =
-    List.filter
-      (fun p -> Enclave.preload_queued enclave p)
-      stream.Stream_predictor.pending
-  in
-  let queued =
-    List.filter (fun p -> Enclave.request_preload enclave ~now p) predict
-  in
-  Stream_predictor.set_pending stream (old_pending @ queued)
+(* A stream's new pending window: its old pending pages that are still
+   queued, then the predictions the enclave accepted, requested in order.
+   Membership is the enclave's per-vpage queue index (O(1) per page) —
+   materializing the whole queue list and running [List.mem] against it
+   per prediction made every fault O(queue). *)
+let rec requeue enclave ~now pending predict =
+  match pending with
+  | p :: rest ->
+    if Enclave.preload_queued enclave p then p :: requeue enclave ~now rest predict
+    else requeue enclave ~now rest predict
+  | [] -> (
+    match predict with
+    | p :: rest ->
+      if Enclave.request_preload enclave ~now p then
+        p :: requeue enclave ~now [] rest
+      else requeue enclave ~now [] rest
+    | [] -> [])
 
 let on_fault t enclave (ctx : Enclave.fault_ctx) =
   if not t.stopped then begin
     let now = ctx.handled_at in
     let predictor = predictor_for t ctx.fault_thread in
     match Stream_predictor.on_fault predictor ctx.fault_vpage with
-    | Extend { stream; predict } -> issue_preloads enclave ~now stream predict
-    | Restart_within { stream = _; abort } ->
-      ignore (Enclave.abort_pending_preloads_pages enclave ~now abort)
-    | New_stream { stream = _; replaced } -> (
-      match replaced with
-      | Some dead ->
-        let abort = dead.Stream_predictor.pending in
-        if abort <> [] then
-          ignore (Enclave.abort_pending_preloads_pages enclave ~now abort)
-      | None -> ())
+    | Extend ->
+      let stream = Stream_predictor.head predictor in
+      Stream_predictor.set_pending stream
+        (requeue enclave ~now stream.Stream_predictor.pending
+           (Stream_predictor.predictions predictor))
+    | Restart_within | New_stream ->
+      let abort = Stream_predictor.aborted predictor in
+      if abort <> [] then
+        ignore (Enclave.abort_pending_preloads_pages enclave ~now abort)
   end
 
 (* The §4.2 stop decision, audited against the paper's semantics:

@@ -176,7 +176,7 @@ type t = {
   can_dfp : bool;
   can_sip : bool;
   predictor : Stream_predictor.t;
-  residency : Page_lru.t;
+  residency : Repro_util.Page_lru.t;
   dfp : Dfp.t option;
   sites : (int, site_stat) Hashtbl.t;
   instrumented : (int, unit) Hashtbl.t;
@@ -207,7 +207,7 @@ let create ?(config = default_config) ~residency_pages ?(can_dfp = true)
       Stream_predictor.create
         ~stream_list_length:dfp_config.Dfp.stream_list_length
         ~load_length:dfp_config.Dfp.load_length ();
-    residency = Page_lru.create ~capacity:(max 1 residency_pages);
+    residency = Repro_util.Page_lru.create ~capacity:(max 1 residency_pages);
     dfp = (if can_dfp then Some (Dfp.create dfp_config) else None);
     sites = Hashtbl.create 64;
     instrumented = Hashtbl.create 16;
@@ -245,9 +245,9 @@ let site_predicate t site = sip_active t && Hashtbl.mem t.instrumented site
 (* ------------------------------------------------------------------ *)
 
 let site_stat_for t site =
-  match Hashtbl.find_opt t.sites site with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.sites site with
+  | s -> s
+  | exception Not_found ->
     let s =
       { p_c1 = 0; p_c2 = 0; p_c3 = 0; l_c1 = 0; l_c2 = 0; l_c3 = 0;
         w_count = 0 }
@@ -265,11 +265,7 @@ let observe t ~site ~vpage =
   t.w_total <- t.w_total + 1;
   let s = site_stat_for t site in
   s.w_count <- s.w_count + 1;
-  match
-    Sip_profiler.classify_one t.predictor t.residency
-      ~load_length:(Stream_predictor.load_length t.predictor)
-      vpage
-  with
+  match Sip_profiler.classify_one t.predictor t.residency vpage with
   | Sip_profiler.Class1 ->
     t.w_c1 <- t.w_c1 + 1;
     s.p_c1 <- s.p_c1 + 1;

@@ -1,4 +1,5 @@
 module Trace = Workload.Trace
+module Page_lru = Repro_util.Page_lru
 
 type access_class = Class1 | Class2 | Class3
 
@@ -21,30 +22,18 @@ type t = {
   mutable total_accesses : int;
 }
 
-(* Would DFP's stream list consider [page] covered?  Either it extends a
-   stream or it sits within [load_length] pages ahead of a tail (the
-   window DFP would have preloaded). *)
-let within_stream predictor ~load_length page =
-  List.exists
-    (fun (s : Stream_predictor.stream) ->
-      let delta = page - s.stpn in
-      if s.dir > 0 then delta >= 1 && delta <= load_length
-      else if s.dir < 0 then -delta >= 1 && -delta <= load_length
-      else abs delta >= 1 && abs delta <= load_length)
-    (Stream_predictor.streams predictor)
-
-let classify_one predictor cache ~load_length page =
-  let resident = Page_lru.mem cache page in
-  if resident then begin
-    ignore (Page_lru.touch cache page);
-    Class1
-  end
+(* Class 1 if the residency proxy still holds the page; otherwise the
+   access is a (simulated) fault: Class 2 if DFP's stream list covers it —
+   it extends a stream or sits within LOADLENGTH pages ahead of a tail,
+   the window DFP would have preloaded — else Class 3, and either way it
+   enters the fault history exactly as the OS would record it.  The proxy
+   and the predictor are independent, so touching the proxy first (one
+   lookup for both the test and the refresh) changes nothing. *)
+let classify_one predictor cache page =
+  if Page_lru.touch cache page then Class1
   else begin
-    let cls = if within_stream predictor ~load_length page then Class2 else Class3 in
-    (* A non-resident access is a (simulated) fault: it enters the fault
-       history exactly as the OS would record it. *)
+    let cls = if Stream_predictor.covers predictor page then Class2 else Class3 in
     ignore (Stream_predictor.on_fault predictor page);
-    ignore (Page_lru.touch cache page);
     cls
   end
 
@@ -66,15 +55,15 @@ let profile ?(input = "") config trace =
   let arena = Workload.Trace_arena.compile trace in
   Workload.Trace_arena.iter arena ~f:(fun ~site ~vpage ~compute:_ ~thread:_ ->
       let counts =
-        match Hashtbl.find_opt t.per_site site with
-        | Some c -> c
-        | None ->
+        match Hashtbl.find t.per_site site with
+        | c -> c
+        | exception Not_found ->
           let c = { c1 = 0; c2 = 0; c3 = 0 } in
           Hashtbl.add t.per_site site c;
           c
       in
       t.total_accesses <- t.total_accesses + 1;
-      match classify_one predictor cache ~load_length:config.load_length vpage with
+      match classify_one predictor cache vpage with
       | Class1 -> counts.c1 <- counts.c1 + 1
       | Class2 -> counts.c2 <- counts.c2 + 1
       | Class3 -> counts.c3 <- counts.c3 + 1);

@@ -46,8 +46,7 @@ val profile : ?input:string -> config -> Workload.Trace.t -> t
     workload input produced the trace (e.g. ["train"]) and is carried
     verbatim into the profile's [input] field; default [""]. *)
 
-val classify_one :
-  Stream_predictor.t -> Page_lru.t -> load_length:int -> int -> access_class
+val classify_one : Stream_predictor.t -> Repro_util.Page_lru.t -> int -> access_class
 (** The classification step for a single page access, exposed for tests:
     checks residency, then stream adjacency, then falls through to
     Class 3.  Mutates both trackers as the profiling pass would. *)

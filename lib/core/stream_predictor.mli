@@ -30,14 +30,13 @@ type stream = {
 }
 
 type reaction =
-  | Extend of { stream : stream; predict : int list }
-      (** Sequential hit: preload [predict] (already tail-extended). *)
-  | Restart_within of { stream : stream; abort : int list }
-      (** The fault landed inside [stream]'s pending window: abort those
-          queued preloads, the stream restarts at the faulted page. *)
-  | New_stream of { stream : stream; replaced : stream option }
-      (** Irregular fault: a fresh stream was inserted; [replaced] is the
-          evicted LRU entry (its pending preloads should be aborted). *)
+  | Extend  (** Sequential hit: preload the {!predictions}. *)
+  | Restart_within
+      (** The fault landed inside the {!head} stream's pending window:
+          abort the {!aborted} preloads; the stream restarts there. *)
+  | New_stream
+      (** Irregular fault: a fresh stream heads the list; abort the
+          {!aborted} preloads of the LRU entry it replaced, if any. *)
 
 type t
 
@@ -48,11 +47,26 @@ val create :
     sweet spot 4).  [detect_backward] (default [true]) lets streams run
     descending. *)
 
-val load_length : t -> int
-val stream_list_length : t -> int
-
 val on_fault : t -> int -> reaction
-(** Feed one fault (page number only — all the OS can see). *)
+(** Feed one fault (page number only — all the OS can see).  Allocates
+    nothing once the list is full. *)
+
+val head : t -> stream
+(** The MRU entry: after {!on_fault}, the stream the fault acted on.
+    Replaced entries are recycled, so hold a stream only until the next
+    fault. *)
+
+val aborted : t -> int list
+(** The pending preloads the last fault orphaned. *)
+
+val predictions : t -> int list
+(** The [LOADLENGTH] non-negative pages past the {!head} stream's tail in
+    its direction, nearest first. *)
+
+val covers : t -> int -> bool
+(** Is [page] within [LOADLENGTH] pages past some entry's tail, in its
+    direction (either way while it has none)?  The SIP classifier's
+    Class-2 test, scanned in place. *)
 
 val set_pending : stream -> int list -> unit
 

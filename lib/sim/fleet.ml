@@ -78,10 +78,21 @@ type feed = {
 
 let partition_capacity ~epc_pages ~n i =
   (* Static split: cap/n frames each, the first (cap mod n) tenants take
-     the remainder one frame apiece; never below one frame.  A partition
-     of one tenant is the whole pool, which is what makes
-     partition-of-1 coincide with shared-of-1 (and with Runner.run). *)
-  max 1 ((epc_pages / n) + if i < epc_pages mod n then 1 else 0)
+     the remainder one frame apiece.  A partition of one tenant is the
+     whole pool, which is what makes partition-of-1 coincide with
+     shared-of-1 (and with Runner.run). *)
+  (epc_pages / n) + if i < epc_pages mod n then 1 else 0
+
+(* Every partition needs a frame; flooring them at one would hand out
+   more frames than the EPC holds. *)
+let validate_config (config : config) ~tenants:n =
+  if config.epc_pages <= 0 then invalid_arg "Fleet: epc_pages must be positive";
+  if config.mode = Partitioned && config.epc_pages < n then
+    invalid_arg
+      (Printf.sprintf
+         "Fleet: partitioned mode needs at least one EPC page per tenant \
+          (epc_pages %d < %d tenants)"
+         config.epc_pages n)
 
 let run ?(config = default_config) ?(fault_plan = Fault_plan.none)
     ?(input_label = "") ?online tenants =
@@ -89,6 +100,7 @@ let run ?(config = default_config) ?(fault_plan = Fault_plan.none)
   let n = Array.length tenants in
   if n = 0 then invalid_arg "Fleet.run: empty fleet";
   if n - 1 > 0xFFFE then invalid_arg "Fleet.run: too many tenants";
+  validate_config config ~tenants:n;
   let pool =
     match config.mode with
     | Shared -> Some (Clock_evictor.create ~capacity:config.epc_pages)
@@ -255,6 +267,10 @@ type cell = { c_tag : string; c_mode : epc_mode; c_outcome : outcome }
 let matrix ?(jobs = 1) ?(config = default_config) ?(fault_plan = Fault_plan.none)
     ?(input_label = "") ?online ~scheme_for ~tags ~modes tenants =
   if tenants = [] then invalid_arg "Fleet.matrix: empty fleet";
+  List.iter
+    (fun mode ->
+      validate_config { config with mode } ~tenants:(List.length tenants))
+    modes;
   let grid =
     List.concat_map (fun tag -> List.map (fun mode -> (tag, mode)) modes) tags
   in

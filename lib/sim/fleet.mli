@@ -93,7 +93,8 @@ val run :
     structurally equal field for field.  [online] attaches the adaptive
     controller to every non-Native tenant (each learns from its own
     stream; the controllers share nothing).
-    @raise Invalid_argument on an empty fleet. *)
+    @raise Invalid_argument on an empty fleet, a non-positive EPC, or a
+    partitioned EPC with fewer pages than tenants. *)
 
 val check : outcome -> Validate.violation list
 (** {!Validate.check_fleet} over this outcome. *)
@@ -121,7 +122,8 @@ val matrix :
     at any [-j]).  [scheme_for tag label] supplies each tenant's scheme
     for the cell (called inside the worker — SIP plan profiling is paid
     per cell, not serialised through the parent).  Every outcome passes
-    {!assert_valid} in its worker.  The input [tenant]s' own [scheme]
+    {!assert_valid} in its worker.  The config is validated for every
+    mode (as {!run} would) before any worker starts.  The input [tenant]s' own [scheme]
     fields are placeholders. *)
 
 (** {1 Report} *)

@@ -127,9 +127,10 @@ let arrival_of_string s =
 
 let validate_config c =
   if c.pool <= 0 then invalid_arg "Service: pool must be positive";
-  if c.requests < 0 then invalid_arg "Service: requests must be non-negative";
-  if c.request_events < 0 then
-    invalid_arg "Service: request_events must be non-negative";
+  (* Either being zero yields a table of dashes or of bare transitions. *)
+  if c.requests <= 0 then invalid_arg "Service: requests must be positive";
+  if c.request_events <= 0 then
+    invalid_arg "Service: request_events must be positive";
   if c.mean_gap <= 0 then invalid_arg "Service: mean_gap must be positive";
   if c.slo <= 0 then invalid_arg "Service: slo must be positive";
   Option.iter

@@ -100,8 +100,8 @@ val arrival_times : config -> int array
     non-decreasing), exactly as {!run} consumes it: same seed, same
     arrivals.  Exposed for tests and the CI determinism contract.
 
-    @raise Invalid_argument on a non-positive pool/gap/SLO or
-    out-of-range arrival parameters. *)
+    @raise Invalid_argument on a non-positive pool/requests/
+    request_events/gap/SLO or out-of-range arrival parameters. *)
 
 type outcome = {
   scheme : string;

@@ -29,8 +29,9 @@ let hot_persistence_of arena ~events =
         let w = min (hot_windows - 1) (!idx / window_len) in
         incr idx;
         let h = counts.(w) in
-        Hashtbl.replace h vpage
-          (1 + Option.value (Hashtbl.find_opt h vpage) ~default:0));
+        match Hashtbl.find h vpage with
+        | n -> Hashtbl.replace h vpage (n + 1)
+        | exception Not_found -> Hashtbl.add h vpage 1);
     let top h =
       (* Total order (count desc, then page asc), so hash-fold order
          cannot leak into the result. *)
@@ -71,7 +72,10 @@ let analyse trace =
   let total_compute = ref 0 in
   let sequential_pairs = ref 0 in
   let same_page_pairs = ref 0 in
-  let prev = ref None in
+  (* The previous page, unboxed; [has_prev] is false only before the
+     first event. *)
+  let prev = ref 0 in
+  let has_prev = ref false in
   let runs = ref 0 in
   let run_pages = ref 0 in
   let current_run = ref 0 in
@@ -88,22 +92,23 @@ let analyse trace =
       Hashtbl.replace pages vpage ();
       Hashtbl.replace sites site ();
       Hashtbl.replace threads thread ();
-      (match !prev with
-      | Some p when abs (vpage - p) = 1 ->
+      let p = !prev in
+      (if not !has_prev then current_run := 1
+      else if abs (vpage - p) = 1 then begin
         incr sequential_pairs;
         incr current_run
-      | Some p when vpage = p ->
-        incr same_page_pairs;
+      end
+      else begin
         (* A repeat terminates the run in progress — it must not let
            [A, A, A+1] silently bridge two ±1-step runs — and the
-           repeated page seeds a fresh one-page candidate run. *)
+           repeated page seeds a fresh one-page candidate run, like any
+           other jump. *)
+        if vpage = p then incr same_page_pairs;
         close_run ();
         current_run := 1
-      | Some _ ->
-        close_run ();
-        current_run := 1
-      | None -> current_run := 1);
-      prev := Some vpage);
+      end);
+      prev := vpage;
+      has_prev := true);
   close_run ();
   {
     events = !events;
@@ -121,36 +126,12 @@ let analyse trace =
 let miss_ratio trace ~epc_pages =
   if epc_pages <= 0 then invalid_arg "Trace_stats.miss_ratio: epc_pages must be positive";
   let arena = Trace_arena.compile trace in
-  (* Reuse the core library's trick without depending on it: a lazy LRU
-     set of page numbers. *)
-  let stamps = Hashtbl.create (2 * epc_pages) in
-  let queue = Queue.create () in
-  let clock = ref 0 in
+  let lru = Repro_util.Page_lru.create ~capacity:epc_pages in
   let misses = ref 0 in
-  let events = ref 0 in
-  let evict () =
-    let rec pop () =
-      match Queue.take_opt queue with
-      | None -> ()
-      | Some (page, stamp) -> (
-        match Hashtbl.find_opt stamps page with
-        | Some fresh when fresh = stamp -> Hashtbl.remove stamps page
-        | Some _ | None -> pop ())
-    in
-    pop ()
-  in
   Trace_arena.iter arena ~f:(fun ~site:_ ~vpage ~compute:_ ~thread:_ ->
-      incr events;
-      let hit = Hashtbl.mem stamps vpage in
-      if not hit then incr misses;
-      incr clock;
-      Hashtbl.replace stamps vpage !clock;
-      Queue.add (vpage, !clock) queue;
-      if not hit then
-        while Hashtbl.length stamps > epc_pages do
-          evict ()
-        done);
-  if !events = 0 then 0.0 else float_of_int !misses /. float_of_int !events
+      if not (Repro_util.Page_lru.touch lru vpage) then incr misses);
+  let events = Trace_arena.length arena in
+  if events = 0 then 0.0 else float_of_int !misses /. float_of_int events
 
 let miss_ratio_curve trace ~epc_pages =
   List.map (fun epc -> (epc, miss_ratio trace ~epc_pages:epc)) epc_pages

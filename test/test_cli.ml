@@ -137,6 +137,68 @@ let test_experiment_keep_going_exit_codes () =
   checkb "failed cells make it exit nonzero" true (code <> 0);
   checkb "stderr names the experiment" true (contains err "fig2")
 
+(* The input boundary: every subcommand x malformed value must be a
+   clean user error — exit 1 (our validation) or 124 (Cmdliner's own
+   parse error) with a message on stderr — never 125, Cmdliner's
+   "internal error, uncaught exception". *)
+let malformed =
+  [
+    [ "run"; "lbm"; "--epc"; "0" ];
+    [ "run"; "lbm"; "--epc"; "abc" ];
+    [ "run"; "lbm"; "--scheme"; "nope" ];
+    [ "run"; "nope" ];
+    [ "compare"; "lbm"; "--epc"; "0" ];
+    [ "compare"; "nope" ];
+    [ "profile"; "lbm"; "--epc"; "0" ];
+    [ "stats"; "lbm"; "--epc"; "0" ];
+    [ "stats"; "nope" ];
+    [ "record"; "nope" ];
+    [ "record"; "lbm"; "--input"; "bogus" ];
+    [ "replay"; "/nonexistent/trace" ];
+    [ "replay"; Sys.executable_name ];
+    [ "validate"; "lbm"; "dfp"; "--epc"; "0" ];
+    [ "validate"; "lbm"; "nope" ];
+    [ "export"; "lbm"; "--epc"; "0" ];
+    [ "export"; "lbm"; "--format"; "nope" ];
+    [ "experiment"; "nope" ];
+    [ "chaos"; "--plans"; "nope" ];
+    [ "chaos"; "--workloads"; "nope" ];
+    [ "fleet"; "lbm"; "mcf"; "xz"; "--epc"; "2"; "--mode"; "partitioned" ];
+    [ "fleet"; "lbm"; "--epc"; "0" ];
+    [ "fleet"; "lbm"; "--mode"; "nope" ];
+    [ "service"; "lbm"; "--requests"; "0" ];
+    [ "service"; "lbm"; "--request-events"; "0"; "--requests"; "10" ];
+    [ "service"; "lbm"; "--pool"; "0" ];
+    [ "list"; "extra" ];
+  ]
+
+let test_malformed_inputs_exit_cleanly () =
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      let code, _, err = run_cli args in
+      checkb (what ^ ": exit 1 or 124, not " ^ string_of_int code) true
+        (code = 1 || code = 124);
+      checkb (what ^ ": message on stderr") true (String.trim err <> "");
+      checkb (what ^ ": no uncaught exception") false
+        (contains err "uncaught exception"))
+    malformed
+
+let test_meaningless_configs_name_the_field () =
+  List.iter
+    (fun (args, field) ->
+      let code, out, err = run_cli args in
+      checki (field ^ ": exit 1") 1 code;
+      checkb (field ^ ": named on stderr") true (contains err field);
+      checkb (field ^ ": no table printed") true (String.trim out = ""))
+    [
+      ([ "service"; "lbm"; "--requests"; "0" ], "requests must be positive");
+      ( [ "service"; "lbm"; "--request-events"; "0"; "--requests"; "10" ],
+        "request_events must be positive" );
+      ( [ "fleet"; "lbm"; "mcf"; "xz"; "--epc"; "2"; "--mode"; "partitioned" ],
+        "at least one EPC page per tenant" );
+    ]
+
 let () =
   let slow name f = Alcotest.test_case name `Slow f in
   Alcotest.run "cli"
@@ -150,5 +212,8 @@ let () =
           slow "chaos interrupt and resume" test_chaos_interrupt_and_resume;
           slow "validate clean exits 0" test_validate_exit_zero_on_clean_run;
           slow "experiment keep-going exit codes" test_experiment_keep_going_exit_codes;
+          slow "malformed inputs exit 1 or 124, never 125"
+            test_malformed_inputs_exit_cleanly;
+          slow "meaningless configs rejected" test_meaningless_configs_name_the_field;
         ] );
     ]

@@ -4,7 +4,7 @@
 
 module SP = Preload.Stream_predictor
 module Dfp = Preload.Dfp
-module Page_lru = Preload.Page_lru
+module Page_lru = Repro_util.Page_lru
 module Profiler = Preload.Sip_profiler
 module Instrumenter = Preload.Sip_instrumenter
 module Scheme = Preload.Scheme
@@ -23,10 +23,10 @@ let predictor ?(len = 4) ?(ll = 4) ?detect_backward () =
 let test_first_fault_opens_stream () =
   let p = predictor () in
   (match SP.on_fault p 10 with
-  | SP.New_stream { stream; replaced } ->
-    checki "tail" 10 stream.stpn;
-    checki "no direction yet" 0 stream.dir;
-    checkb "nothing replaced" true (replaced = None)
+  | SP.New_stream ->
+    checki "tail" 10 (SP.head p).stpn;
+    checki "no direction yet" 0 (SP.head p).dir;
+    Alcotest.(check (list int)) "nothing replaced" [] (SP.aborted p)
   | _ -> Alcotest.fail "expected New_stream");
   checki "one stream" 1 (List.length (SP.streams p))
 
@@ -34,26 +34,28 @@ let test_sequential_fault_extends () =
   let p = predictor () in
   ignore (SP.on_fault p 10);
   match SP.on_fault p 11 with
-  | SP.Extend { stream; predict } ->
-    checki "tail advanced" 11 stream.stpn;
-    checki "ascending" 1 stream.dir;
-    Alcotest.(check (list int)) "LOADLENGTH pages ahead" [ 12; 13; 14; 15 ] predict
+  | SP.Extend ->
+    checki "tail advanced" 11 (SP.head p).stpn;
+    checki "ascending" 1 (SP.head p).dir;
+    Alcotest.(check (list int)) "LOADLENGTH pages ahead" [ 12; 13; 14; 15 ]
+      (SP.predictions p)
   | _ -> Alcotest.fail "expected Extend"
 
 let test_descending_stream_detected () =
   let p = predictor () in
   ignore (SP.on_fault p 10);
   match SP.on_fault p 9 with
-  | SP.Extend { stream; predict } ->
-    checki "descending" (-1) stream.dir;
-    Alcotest.(check (list int)) "downward predictions" [ 8; 7; 6; 5 ] predict
+  | SP.Extend ->
+    checki "descending" (-1) (SP.head p).dir;
+    Alcotest.(check (list int)) "downward predictions" [ 8; 7; 6; 5 ]
+      (SP.predictions p)
   | _ -> Alcotest.fail "expected Extend"
 
 let test_backward_detection_can_be_disabled () =
   let p = predictor ~detect_backward:false () in
   ignore (SP.on_fault p 10);
   match SP.on_fault p 9 with
-  | SP.New_stream _ -> ()
+  | SP.New_stream -> ()
   | _ -> Alcotest.fail "descending fault must open a new stream"
 
 let test_direction_locks () =
@@ -62,25 +64,29 @@ let test_direction_locks () =
   ignore (SP.on_fault p 11);
   (* Once ascending, 10 is not sequential any more. *)
   match SP.on_fault p 10 with
-  | SP.New_stream _ -> ()
+  | SP.New_stream -> ()
   | _ -> Alcotest.fail "locked direction must not re-extend backwards"
 
 let test_predictions_clamped_at_zero () =
   let p = predictor () in
   ignore (SP.on_fault p 2);
   match SP.on_fault p 1 with
-  | SP.Extend { predict; _ } ->
-    Alcotest.(check (list int)) "no negative pages" [ 0 ] predict
+  | SP.Extend ->
+    Alcotest.(check (list int)) "no negative pages" [ 0 ] (SP.predictions p)
   | _ -> Alcotest.fail "expected Extend"
 
 let test_lru_replacement () =
   let p = predictor ~len:2 () in
   ignore (SP.on_fault p 10);
+  SP.set_pending (SP.head p) [ 11; 12 ];
   ignore (SP.on_fault p 50);
   (match SP.on_fault p 90 with
-  | SP.New_stream { replaced = Some dead; _ } -> checki "LRU evicted" 10 dead.stpn
+  | SP.New_stream ->
+    Alcotest.(check (list int)) "replaced entry's preloads aborted" [ 11; 12 ]
+      (SP.aborted p)
   | _ -> Alcotest.fail "expected replacement");
-  checki "bounded" 2 (List.length (SP.streams p))
+  Alcotest.(check (list int)) "LRU evicted" [ 90; 50 ]
+    (List.map (fun (s : SP.stream) -> s.stpn) (SP.streams p))
 
 let test_hit_promotes_stream () =
   let p = predictor ~len:2 () in
@@ -89,26 +95,27 @@ let test_hit_promotes_stream () =
   (* Extending the older stream must move it to the head: the next
      replacement victim is then 50, not 10's stream. *)
   ignore (SP.on_fault p 11);
-  match SP.on_fault p 90 with
-  | SP.New_stream { replaced = Some dead; _ } -> checki "newer got evicted" 50 dead.stpn
-  | _ -> Alcotest.fail "expected replacement"
+  ignore (SP.on_fault p 90);
+  Alcotest.(check (list int)) "newer got evicted" [ 90; 11 ]
+    (List.map (fun (s : SP.stream) -> s.stpn) (SP.streams p))
 
 let test_restart_within_pending_window () =
   let p = predictor () in
   ignore (SP.on_fault p 1);
-  let stream, _ =
+  let stream =
     match SP.on_fault p 2 with
-    | SP.Extend { stream; predict } ->
-      SP.set_pending stream predict;
-      (stream, predict)
+    | SP.Extend ->
+      SP.set_pending (SP.head p) (SP.predictions p);
+      SP.head p
     | _ -> Alcotest.fail "expected Extend"
   in
   (* The paper's example: the fault skips to page 5 while 3..6 are still
      pending -> abort them, restart the stream at 5. *)
   match SP.on_fault p 5 with
-  | SP.Restart_within { stream = s; abort } ->
+  | SP.Restart_within ->
+    let s = SP.head p in
     checkb "same stream" true (s == stream);
-    Alcotest.(check (list int)) "aborts the window" [ 3; 4; 5; 6 ] abort;
+    Alcotest.(check (list int)) "aborts the window" [ 3; 4; 5; 6 ] (SP.aborted p);
     checki "restarted at the fault" 5 s.stpn;
     checki "direction reset" 0 s.dir;
     Alcotest.(check (list int)) "pending cleared" [] s.pending
@@ -118,12 +125,13 @@ let test_restarted_stream_can_extend_again () =
   let p = predictor () in
   ignore (SP.on_fault p 1);
   (match SP.on_fault p 2 with
-  | SP.Extend { stream; predict } -> SP.set_pending stream predict
+  | SP.Extend -> SP.set_pending (SP.head p) (SP.predictions p)
   | _ -> Alcotest.fail "expected Extend");
   ignore (SP.on_fault p 5);
   match SP.on_fault p 6 with
-  | SP.Extend { predict; _ } ->
-    Alcotest.(check (list int)) "resumes from the restart" [ 7; 8; 9; 10 ] predict
+  | SP.Extend ->
+    Alcotest.(check (list int)) "resumes from the restart" [ 7; 8; 9; 10 ]
+      (SP.predictions p)
   | _ -> Alcotest.fail "expected Extend"
 
 let test_interleaved_streams_both_tracked () =
@@ -134,7 +142,7 @@ let test_interleaved_streams_both_tracked () =
   let ok = ref true in
   List.iter
     (fun npn ->
-      match SP.on_fault p npn with SP.Extend _ -> () | _ -> ok := false)
+      match SP.on_fault p npn with SP.Extend -> () | _ -> ok := false)
     [ 101; 201; 102; 202; 103; 203 ];
   checkb "multi-stream" true !ok
 
@@ -152,8 +160,34 @@ let test_create_validation () =
     (Invalid_argument "Stream_predictor.create: load_length must be positive")
     (fun () -> ignore (SP.create ~stream_list_length:4 ~load_length:0 ()))
 
+(* The classifier's coverage test as it stood before the in-place scan:
+   [List.exists] over the inspection list, with the predictor's own
+   LOADLENGTH. *)
+let reference_covers p ~load_length page =
+  List.exists
+    (fun (s : SP.stream) ->
+      let delta = page - s.stpn in
+      if s.dir > 0 then delta >= 1 && delta <= load_length
+      else if s.dir < 0 then -delta >= 1 && -delta <= load_length
+      else abs delta >= 1 && abs delta <= load_length)
+    (SP.streams p)
+
 let predictor_qcheck =
   [
+    QCheck2.Test.make ~name:"in-place coverage scan == List.exists over streams"
+      ~count:300
+      QCheck2.Gen.(
+        triple (int_range 1 8) (int_range 1 6)
+          (list_size (int_range 1 80) (pair (int_range 0 120) (int_range (-5) 125))))
+      (fun (len, ll, steps) ->
+        let p = predictor ~len ~ll () in
+        List.for_all
+          (fun (fault, probe) ->
+            let agree page = SP.covers p page = reference_covers p ~load_length:ll page in
+            let before = agree probe in
+            ignore (SP.on_fault p fault);
+            before && agree probe && agree (fault + 1) && agree (fault - ll))
+          steps);
     QCheck2.Test.make ~name:"stream list never exceeds its capacity" ~count:200
       QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 1 100) (int_range 0 200)))
       (fun (len, faults) ->
@@ -167,7 +201,7 @@ let predictor_qcheck =
         List.for_all
           (fun f ->
             match SP.on_fault p f with
-            | SP.Extend { predict; _ } -> not (List.mem f predict)
+            | SP.Extend -> not (List.mem f (SP.predictions p))
             | _ -> true)
           faults);
     QCheck2.Test.make ~name:"predictions are contiguous from the fault" ~count:200
@@ -177,8 +211,8 @@ let predictor_qcheck =
         List.for_all
           (fun f ->
             match SP.on_fault p f with
-            | SP.Extend { stream; predict } ->
-              let dir = stream.dir in
+            | SP.Extend ->
+              let dir = (SP.head p).dir and predict = SP.predictions p in
               List.for_all2
                 (fun i pred -> pred = f + (dir * (i + 1)))
                 (List.init (List.length predict) Fun.id)
@@ -310,11 +344,32 @@ let test_profiler_records_input () =
 let test_classify_one_steps () =
   let predictor = predictor ~len:4 () in
   let cache = Page_lru.create ~capacity:8 in
-  let cls = Profiler.classify_one predictor cache ~load_length:4 in
+  let cls = Profiler.classify_one predictor cache in
   checkb "first sight irregular" true (cls 10 = Profiler.Class3);
   checkb "revisit is class1" true (cls 10 = Profiler.Class1);
   checkb "next page is class2" true (cls 11 = Profiler.Class2);
   checkb "within load-length window is class2" true (cls 14 = Profiler.Class2)
+
+let test_classify_one_allocation_free () =
+  (* The online controller classifies every access; once the stream list
+     is full, neither the residency proxy nor the predictor allocates. *)
+  let predictor = predictor ~len:8 () in
+  let cache = Page_lru.create ~capacity:32 in
+  let x = ref 1 in
+  let step i =
+    x := ((!x * 1103515245) + 12345) land 0xFFFFFF;
+    (* Sequential runs (Class 2), re-touches (Class 1), scattered (3). *)
+    let page = if i mod 3 = 0 then i / 3 else !x mod 5000 in
+    ignore (Profiler.classify_one predictor cache page)
+  in
+  for i = 1 to 1_000 do
+    step i
+  done;
+  let before = Gc.minor_words () in
+  for i = 1_001 to 20_000 do
+    step i
+  done;
+  checkb "steady state allocates nothing" true (Gc.minor_words () -. before < 100.)
 
 (* ------------------------------------------------------------------ *)
 (* SIP instrumenter                                                    *)
@@ -612,9 +667,10 @@ let test_window_fault_extends_stream () =
   ignore (SP.on_fault p 10);
   ignore (SP.on_fault p 11);
   match SP.on_fault p 16 with
-  | SP.Extend { stream; predict } ->
-    checki "tail jumps to the fault" 16 stream.stpn;
-    Alcotest.(check (list int)) "predicts onward" [ 17; 18; 19; 20 ] predict
+  | SP.Extend ->
+    checki "tail jumps to the fault" 16 (SP.head p).stpn;
+    Alcotest.(check (list int)) "predicts onward" [ 17; 18; 19; 20 ]
+      (SP.predictions p)
   | _ -> Alcotest.fail "window fault must extend"
 
 let test_beyond_window_opens_new_stream () =
@@ -623,7 +679,7 @@ let test_beyond_window_opens_new_stream () =
   ignore (SP.on_fault p 11);
   (* LOADLENGTH+2 past the tail is outside the window. *)
   match SP.on_fault p 17 with
-  | SP.New_stream _ -> ()
+  | SP.New_stream -> ()
   | _ -> Alcotest.fail "beyond the window is a new stream"
 
 let test_pending_beats_window () =
@@ -632,10 +688,10 @@ let test_pending_beats_window () =
   let p = predictor () in
   ignore (SP.on_fault p 1);
   (match SP.on_fault p 2 with
-  | SP.Extend { stream; predict } -> SP.set_pending stream predict
+  | SP.Extend -> SP.set_pending (SP.head p) (SP.predictions p)
   | _ -> Alcotest.fail "expected Extend");
   match SP.on_fault p 4 with
-  | SP.Restart_within _ -> ()
+  | SP.Restart_within -> ()
   | _ -> Alcotest.fail "pending check must run before the window check"
 
 let test_dfp_per_thread_lists () =
@@ -882,6 +938,7 @@ let () =
           tc "totals and sites" test_profiler_totals_and_sites;
           tc "records input" test_profiler_records_input;
           tc "classify_one steps" test_classify_one_steps;
+          tc "classify_one allocation-free" test_classify_one_allocation_free;
         ] );
       ( "sip_instrumenter",
         [

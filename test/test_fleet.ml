@@ -127,6 +127,40 @@ let test_partition_of_one_is_shared () =
         (shared.Fleet.results = part.Fleet.results))
     [ Scheme.Baseline; Scheme.dfp_default ]
 
+let test_partition_smaller_than_fleet_rejected () =
+  (* Each partition needs a frame; a pool smaller than the fleet used to
+     be floored to one frame per tenant, handing out more frames than
+     the EPC holds. *)
+  let trace = trace_for 17 in
+  let tenants n =
+    List.init n (fun i ->
+        Fleet.tenant ~label:(Printf.sprintf "t%d" i) ~scheme:Scheme.Baseline trace)
+  in
+  let tiny mode = { (fleet_config mode) with Fleet.epc_pages = 2 } in
+  let expected =
+    Invalid_argument
+      "Fleet: partitioned mode needs at least one EPC page per tenant \
+       (epc_pages 2 < 3 tenants)"
+  in
+  Alcotest.check_raises "run" expected (fun () ->
+      ignore (Fleet.run ~config:(tiny Fleet.Partitioned) (tenants 3)));
+  Alcotest.check_raises "matrix, before any worker" expected (fun () ->
+      ignore
+        (Fleet.matrix ~config:(tiny Fleet.Shared)
+           ~scheme_for:(fun _ _ -> Scheme.Baseline)
+           ~tags:[ "baseline" ] ~modes:[ Fleet.Shared; Fleet.Partitioned ]
+           (tenants 3)));
+  Alcotest.check_raises "zero EPC"
+    (Invalid_argument "Fleet: epc_pages must be positive") (fun () ->
+      ignore
+        (Fleet.run
+           ~config:{ (fleet_config Fleet.Shared) with Fleet.epc_pages = 0 }
+           (tenants 1)));
+  (* Sharing two frames among three tenants is legal, as is a partition
+     of exactly one frame each. *)
+  ignore (Fleet.run ~config:(tiny Fleet.Shared) (tenants 3));
+  ignore (Fleet.run ~config:(tiny Fleet.Partitioned) (tenants 2))
+
 let singleton_qcheck =
   let gen =
     QCheck2.Gen.(
@@ -296,6 +330,8 @@ let () =
           Alcotest.test_case "bank plans" `Quick test_singleton_all_plans;
           Alcotest.test_case "partition-of-1 == shared-of-1" `Quick
             test_partition_of_one_is_shared;
+          Alcotest.test_case "partitioned EPC smaller than the fleet rejected"
+            `Quick test_partition_smaller_than_fleet_rejected;
         ] );
       ("property", List.map QCheck_alcotest.to_alcotest singleton_qcheck);
       ( "co-tenancy",

@@ -75,6 +75,19 @@ let test_arrivals_bursty_groups () =
       checki (Printf.sprintf "burst member %d" k) times.(k - 1) times.(k)
   done
 
+let test_empty_requests_rejected () =
+  (* Zero requests printed an all-dash table; zero-event requests
+     replayed nothing and reported pure transition overhead. *)
+  Alcotest.check_raises "zero requests"
+    (Invalid_argument "Service: requests must be positive") (fun () ->
+      ignore (Service.run ~config:{ config with Service.requests = 0 }
+                ~scheme:Scheme.Baseline trace));
+  Alcotest.check_raises "zero-event requests"
+    (Invalid_argument "Service: request_events must be positive") (fun () ->
+      ignore
+        (Service.run ~config:{ config with Service.request_events = 0 }
+           ~scheme:Scheme.Baseline trace))
+
 let test_arrivals_bad_config_rejected () =
   Alcotest.check_raises "zero pool"
     (Invalid_argument "Service: pool must be positive") (fun () ->
@@ -373,6 +386,7 @@ let () =
           tc "non-decreasing" test_arrivals_non_decreasing;
           tc "bursty groups" test_arrivals_bursty_groups;
           tc "bad config rejected" test_arrivals_bad_config_rejected;
+          tc "empty requests rejected" test_empty_requests_rejected;
           tc "grammar round-trips" test_arrival_grammar_roundtrip;
           tc "grammar errors" test_arrival_grammar_errors;
         ] );

@@ -5,7 +5,7 @@ module Stats = Repro_util.Stats
 module Histogram = Repro_util.Histogram
 module Ring = Repro_util.Ring
 module Bitset = Repro_util.Bitset
-module Lru = Repro_util.Lru
+module Page_lru = Repro_util.Page_lru
 module Table = Repro_util.Table
 
 let check = Alcotest.check
@@ -673,60 +673,106 @@ let bitset_qcheck =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Lru                                                                 *)
+(* Page_lru: the packed LRU against a naive list model                 *)
 (* ------------------------------------------------------------------ *)
 
-let test_lru_insert_and_capacity () =
-  let l = Lru.create 2 in
-  checkb "not full" false (Lru.is_full l);
-  check Alcotest.(option int) "no eviction" None (Lru.insert l 1);
-  check Alcotest.(option int) "no eviction" None (Lru.insert l 2);
-  checkb "full" true (Lru.is_full l);
-  check Alcotest.(option int) "evicts lru" (Some 1) (Lru.insert l 3);
-  check Alcotest.(list int) "mru order" [ 3; 2 ] (Lru.to_list l)
+(* The obviously-correct LRU: a list, most recently touched first. *)
+module Ref_lru = struct
+  type t = { cap : int; mutable items : int list }
 
-let test_lru_promote () =
-  let l = Lru.create 3 in
-  ignore (Lru.insert l 1);
-  ignore (Lru.insert l 2);
-  ignore (Lru.insert l 3);
-  checkb "promoted" true (Lru.promote l (fun x -> x = 1));
-  check Alcotest.(list int) "order" [ 1; 3; 2 ] (Lru.to_list l);
-  checkb "missing" false (Lru.promote l (fun x -> x = 9))
+  let create cap = { cap; items = [] }
 
-let test_lru_find_does_not_promote () =
-  let l = Lru.create 3 in
-  ignore (Lru.insert l 1);
-  ignore (Lru.insert l 2);
-  check Alcotest.(option int) "found" (Some 1) (Lru.find l (fun x -> x = 1));
-  check Alcotest.(list int) "order unchanged" [ 2; 1 ] (Lru.to_list l)
+  let touch t page =
+    let hit = List.mem page t.items in
+    let rest = List.filter (fun p -> p <> page) t.items in
+    t.items <- List.filteri (fun i _ -> i < t.cap) (page :: rest);
+    hit
 
-let test_lru_remove () =
-  let l = Lru.create 3 in
-  ignore (Lru.insert l 1);
-  ignore (Lru.insert l 2);
-  checkb "removed" true (Lru.remove l (fun x -> x = 1));
-  check Alcotest.(list int) "left" [ 2 ] (Lru.to_list l);
-  checkb "gone" false (Lru.remove l (fun x -> x = 1))
+  let clear t = t.items <- []
+end
 
-let test_lru_endpoints () =
-  let l = Lru.create 3 in
-  check Alcotest.(option int) "lru of empty" None (Lru.lru l);
-  ignore (Lru.insert l 1);
-  ignore (Lru.insert l 2);
-  check Alcotest.(option int) "lru" (Some 1) (Lru.lru l);
-  check Alcotest.(option int) "mru" (Some 2) (Lru.mru l)
+(* Drive both with [ops] ([Some page] touches, [None] clears): the same
+   hit/miss answer and size at every step, the same contents in recency
+   order at the end. *)
+let lru_agrees cap ops =
+  let packed = Page_lru.create ~capacity:cap and model = Ref_lru.create cap in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Some page -> Page_lru.touch packed page = Ref_lru.touch model page
+      | None ->
+        Page_lru.clear packed;
+        Ref_lru.clear model;
+        true)
+      && Page_lru.size packed = List.length model.Ref_lru.items)
+    ops
+  && Page_lru.to_list packed = model.Ref_lru.items
+  && List.for_all (Page_lru.mem packed) model.Ref_lru.items
 
-let lru_qcheck =
+let lru_prop name gen =
+  QCheck2.Test.make ~name:("packed == reference: " ^ name) ~count:300 gen
+    (fun (cap, ops) -> lru_agrees cap ops)
+
+let touches gen = QCheck2.Gen.(list_size (int_range 0 400) (map Option.some gen))
+
+let page_lru_qcheck =
+  let open QCheck2.Gen in
   [
-    QCheck2.Test.make ~name:"lru length never exceeds capacity" ~count:300
-      QCheck2.Gen.(pair (int_range 1 8) (list small_int))
-      (fun (cap, xs) ->
-        let l = Lru.create cap in
-        List.iter (fun x -> ignore (Lru.insert l x)) xs;
-        Lru.length l <= cap
-        && Lru.length l = min cap (List.length xs));
+    lru_prop "uniform pages"
+      (pair (int_range 1 40) (touches (int_range 0 120)));
+    lru_prop "same-page hammering"
+      (int_range 1 8 >>= fun cap ->
+       int_range 0 50 >>= fun hot ->
+       pair (return cap)
+         (touches (frequency [ (9, return hot); (1, int_range 0 50) ])));
+    lru_prop "capacity+1 stride thrashes"
+      (int_range 1 40 >>= fun cap ->
+       int_range 1 1000 >>= fun stride ->
+       int_range 0 300 >>= fun n ->
+       return
+         (cap, List.init n (fun i -> Some (i mod (cap + 1) * stride))));
+    lru_prop "capacity 1" (pair (return 1) (touches (int_range 0 6)));
+    lru_prop "negative and extreme pages"
+      (pair (int_range 1 24)
+         (touches
+            (frequency
+               [
+                 (8, int_range (-60) 60);
+                 (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1 ]);
+                 (1, int);
+               ])));
+    lru_prop "clear mid-stream"
+      (pair (int_range 1 24)
+         (list_size (int_range 0 400)
+            (frequency [ (1, return None); (30, map Option.some (int_range 0 80)) ])));
+    lru_prop "capacity far above distinct pages"
+      (pair
+         (oneofl [ 1_000_000; 1 lsl 40 ])
+         (touches (int_range 0 600)));
   ]
+
+let test_page_lru_grows_with_pages_not_capacity () =
+  (* A billion-page capacity must cost what the trace touches. *)
+  let before = Gc.allocated_bytes () in
+  let l = Page_lru.create ~capacity:1_000_000_000 in
+  for p = 0 to 99 do
+    ignore (Page_lru.touch l p)
+  done;
+  checki "all held" 100 (Page_lru.size l);
+  checkb "storage sized by pages held" true
+    (Gc.allocated_bytes () -. before < 100_000.)
+
+let test_page_lru_touch_allocates_nothing () =
+  let l = Page_lru.create ~capacity:64 in
+  for p = 0 to 999 do
+    ignore (Page_lru.touch l (p * 7))
+  done;
+  let before = Gc.minor_words () in
+  for p = 0 to 9_999 do
+    ignore (Page_lru.touch l (p * 7 mod 131))
+  done;
+  checkb "steady-state touch is allocation-free" true
+    (Gc.minor_words () -. before < 100.)
 
 (* ------------------------------------------------------------------ *)
 (* Table                                                               *)
@@ -832,15 +878,13 @@ let () =
           tc "copy equal" test_bitset_copy_equal;
         ]
         @ props bitset_qcheck );
-      ( "lru",
+      ( "page_lru",
         [
-          tc "insert and capacity" test_lru_insert_and_capacity;
-          tc "promote" test_lru_promote;
-          tc "find does not promote" test_lru_find_does_not_promote;
-          tc "remove" test_lru_remove;
-          tc "endpoints" test_lru_endpoints;
+          tc "grows with pages, not capacity"
+            test_page_lru_grows_with_pages_not_capacity;
+          tc "touch allocates nothing" test_page_lru_touch_allocates_nothing;
         ]
-        @ props lru_qcheck );
+        @ props page_lru_qcheck );
       ( "table",
         [
           tc "render" test_table_render;

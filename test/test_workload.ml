@@ -485,6 +485,50 @@ let test_stats_miss_ratio_curve_monotone () =
     checkb "monotone non-increasing" true (a >= b && b >= c)
   | _ -> Alcotest.fail "expected three points"
 
+(* The Hashtbl+Queue lazy-deletion LRU that [Trace_stats.miss_ratio] ran
+   before the packed [Page_lru]: a FIFO of (page, stamp) plus each page's
+   freshest stamp, stale FIFO entries skipped at eviction.  Kept here as
+   the reference the shared primitive must reproduce exactly. *)
+let reference_miss_ratio trace ~epc_pages =
+  let stamps = Hashtbl.create (2 * epc_pages) in
+  let queue = Queue.create () in
+  let clock = ref 0 and misses = ref 0 and events = ref 0 in
+  let rec evict () =
+    match Queue.take_opt queue with
+    | None -> ()
+    | Some (page, stamp) -> (
+      match Hashtbl.find_opt stamps page with
+      | Some fresh when fresh = stamp -> Hashtbl.remove stamps page
+      | Some _ | None -> evict ())
+  in
+  Seq.iter
+    (fun (a : Access.t) ->
+      incr events;
+      let hit = Hashtbl.mem stamps a.vpage in
+      if not hit then incr misses;
+      incr clock;
+      Hashtbl.replace stamps a.vpage !clock;
+      Queue.add (a.vpage, !clock) queue;
+      if not hit then
+        while Hashtbl.length stamps > epc_pages do
+          evict ()
+        done)
+    (Trace.events trace);
+  if !events = 0 then 0.0 else float_of_int !misses /. float_of_int !events
+
+let test_stats_miss_curve_matches_reference () =
+  let sizes = [ 16; 512; 2048 ] in
+  List.iter
+    (fun name ->
+      let trace =
+        Sim.Experiments.trace_of Sim.Experiments.default name ~input:(Input.Ref 0)
+      in
+      Alcotest.(check (list (pair int (float 0.0))))
+        (name ^ ": packed LRU curve == Hashtbl+Queue reference")
+        (List.map (fun e -> (e, reference_miss_ratio trace ~epc_pages:e)) sizes)
+        (Workload.Trace_stats.miss_ratio_curve trace ~epc_pages:sizes))
+    (Sim.Experiments.workload_names ())
+
 (* ------------------------------------------------------------------ *)
 (* Synthetic boundary workloads                                        *)
 (* ------------------------------------------------------------------ *)
@@ -685,6 +729,8 @@ let () =
           tc "repeat interrupts run" test_stats_repeat_interrupts_run;
           tc "miss ratio bounds" test_stats_miss_ratio_bounds;
           tc "miss curve monotone" test_stats_miss_ratio_curve_monotone;
+          Alcotest.test_case "miss curve matches reference on every model" `Slow
+            test_stats_miss_curve_matches_reference;
         ] );
       ( "synthetic",
         [
