@@ -171,22 +171,16 @@ let print_list () =
   print_endline "";
   print_endline
     "options: -j N   fan experiment cells / runtime replays out across N \
-     forked workers (output is byte-identical; default 1)";
-  print_endline
-    "         --fused / --no-fused   fused single-pass scheme replay vs one \
-     job per cell (byte-identical output; default fused)"
+     forked workers (output is byte-identical; default 1)"
 
-(* Strip a leading/interspersed [-j N] (or [-jN]) and
-   [--fused]/[--no-fused] from the argument list; everything else is an
-   experiment id as before. *)
+(* Strip a leading/interspersed [-j N] (or [-jN]) from the argument
+   list; everything else is an experiment id as before. *)
 let parse_jobs args =
-  let rec go jobs fused acc = function
-    | [] -> (jobs, fused, List.rev acc)
-    | "--fused" :: rest -> go jobs true acc rest
-    | "--no-fused" :: rest -> go jobs false acc rest
+  let rec go jobs acc = function
+    | [] -> (jobs, List.rev acc)
     | "-j" :: n :: rest | "--jobs" :: n :: rest -> (
       match int_of_string_opt n with
-      | Some j when j >= 1 -> go j fused acc rest
+      | Some j when j >= 1 -> go j acc rest
       | Some _ | None ->
         Printf.eprintf "-j expects a positive integer, got %S\n" n;
         exit 1)
@@ -198,17 +192,17 @@ let parse_jobs args =
            && int_of_string_opt (String.sub arg 2 (String.length arg - 2))
               <> None -> (
       match int_of_string_opt (String.sub arg 2 (String.length arg - 2)) with
-      | Some j when j >= 1 -> go j fused acc rest
+      | Some j when j >= 1 -> go j acc rest
       | _ ->
         Printf.eprintf "-j expects a positive integer, got %S\n" arg;
         exit 1)
-    | arg :: rest -> go jobs fused (arg :: acc) rest
+    | arg :: rest -> go jobs (arg :: acc) rest
   in
-  go 1 true [] args
+  go 1 [] args
 
 let () =
-  let jobs, fused, args = parse_jobs (List.tl (Array.to_list Sys.argv)) in
-  let settings = { Sim.Experiments.default with jobs; fused } in
+  let jobs, args = parse_jobs (List.tl (Array.to_list Sys.argv)) in
+  let settings = { Sim.Experiments.default with jobs } in
   match args with
   | [ "list" ] -> print_list ()
   | [] | [ "all" ] ->

@@ -524,25 +524,6 @@ let resume_arg =
   in
   Arg.(value & flag & info [ "resume" ] ~doc)
 
-let fused_arg =
-  let fused_doc =
-    "Collapse each trace's scheme cells into one fused single-pass \
-     replay (the default): the trace is decoded once per workload \
-     group, not once per cell.  Output is byte-identical to \
-     $(b,--no-fused)."
-  in
-  let no_fused_doc =
-    "Run one job per (workload, scheme) cell — the reference path the \
-     fused replay is diffed against."
-  in
-  Arg.(
-    value
-    & vflag true
-        [
-          (true, info [ "fused" ] ~doc:fused_doc);
-          (false, info [ "no-fused" ] ~doc:no_fused_doc);
-        ])
-
 let ensure_journal_dir = function
   | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
   | _ -> ()
@@ -553,7 +534,7 @@ let experiment_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
   let action ids epc input quick_flag jobs timeout retries keep_going journal
-      resume fused =
+      resume =
     let settings =
       if quick_flag then Experiments.quick else settings_of ~epc ~input
     in
@@ -567,7 +548,6 @@ let experiment_cmd =
         keep_going;
         journal_dir = journal;
         resume;
-        fused;
       }
     in
     let ids = if ids = [] then List.map fst Experiments.all else ids in
@@ -582,8 +562,7 @@ let experiment_cmd =
   let term =
     Term.(
       const action $ ids_arg $ epc_arg $ input_arg $ quick_arg $ jobs_arg
-      $ timeout_arg $ retries_arg $ keep_going_arg $ journal_arg $ resume_arg
-      $ fused_arg)
+      $ timeout_arg $ retries_arg $ keep_going_arg $ journal_arg $ resume_arg)
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate paper tables/figures by id")
@@ -613,7 +592,7 @@ let chaos_cmd =
     Arg.(value & opt (list string) [] & info [ "workloads" ] ~docv:"NAMES" ~doc)
   in
   let action epc input quick_flag jobs seed plan_names workloads timeout
-      retries keep_going journal resume fused breaker online =
+      retries keep_going journal resume breaker online =
     let plans =
       List.map
         (fun name ->
@@ -644,7 +623,6 @@ let chaos_cmd =
         keep_going;
         journal_dir = journal;
         resume;
-        fused;
         breaker = breaker_of breaker;
         online = online_of online;
       }
@@ -652,7 +630,7 @@ let chaos_cmd =
     let outcome =
       try Sim.Chaos.run settings
       with Experiments.Cells_failed fs ->
-        Printf.eprintf "chaos: %d cell(s) failed:\n" (List.length fs);
+        Printf.eprintf "chaos: %d job(s) failed:\n" (List.length fs);
         List.iter
           (fun (f : Sim.Job_pool.failure) ->
             Printf.eprintf "  %s: %s (%d attempt(s))\n" f.label f.reason
@@ -671,7 +649,7 @@ let chaos_cmd =
     Term.(
       const action $ epc_chaos_arg $ input_arg $ quick_arg $ jobs_arg
       $ seed_arg $ plans_arg $ workloads_arg $ timeout_arg $ retries_arg
-      $ keep_going_arg $ journal_arg $ resume_arg $ fused_arg $ breaker_arg
+      $ keep_going_arg $ journal_arg $ resume_arg $ breaker_arg
       $ online_arg)
   in
   Cmd.v

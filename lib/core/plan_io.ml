@@ -35,7 +35,8 @@ let load ~path =
         | None ->
           fail path !lineno (Printf.sprintf "malformed %s field %S" field s)
       in
-      if read () <> "# sgx-preload plan v1" then
+      let header = try read () with End_of_file -> fail path 1 "empty file" in
+      if header <> "# sgx-preload plan v1" then
         fail path !lineno "unrecognised header";
       let workload = ref None and threshold = ref None in
       let decisions = ref [] in

@@ -1,18 +1,20 @@
 (** The chaos matrix: scheme grid × named fault plans, with
     graceful-degradation measurement and invariant enforcement.
 
-    Each cell replays one (workload, scheme, fault plan) simulation,
-    runs the full {!Validate} battery on it in the worker, and returns a
-    slim record; the report prints, per workload, a degradation table
-    against the same cell's fault-free run (overhead, fault increase,
-    preload-abort and mispreload rates) plus every invariant violation.
+    Each cell is one (workload, scheme, fault plan) simulation; the
+    scheme cells of a (workload, plan) pair run as one
+    {!Runner.run_fused} job.  The worker runs the full {!Validate}
+    battery on every cell and returns a slim record; the report prints,
+    per workload, a degradation table against the same cell's
+    fault-free run (overhead, fault increase, preload-abort and
+    mispreload rates) plus every invariant violation.
 
     Cells are pure and the fault draws are position-keyed
     ({!Fault_plan}), so the whole matrix is byte-identical across [-j]
     values and across repeated runs with the same seed.  The matrix
-    always runs on the hardened pool: a hung or dead cell is reported
-    (and, with [keep_going], tolerated) without discarding its
-    neighbours. *)
+    always runs on the hardened pool: a hung or dead job is reported
+    (and, with [keep_going], tolerated), dropping its own cells but not
+    its neighbours'. *)
 
 type settings = {
   epc_pages : int;
@@ -27,16 +29,6 @@ type settings = {
   keep_going : bool;  (** Report failed cells instead of raising. *)
   journal_dir : string option;
   resume : bool;
-  fused : bool;
-      (** Collapse the four scheme cells of each (workload, plan) pair
-          into one fused single-pass replay ({!Runner.run_fused}; the
-          default) — the trace is decoded once per pair instead of once
-          per cell, and [Job_pool] parallelism moves up to the pair
-          level.  Off, the matrix degrades to one job per cell, the
-          cross-check reference the fused output is contractually
-          byte-identical to (CI diffs the two).  Part of the journal
-          key, so fused and per-cell runs never satisfy each other's
-          journals. *)
   breaker : Preload.Breaker.config option;
       (** Attach a preload circuit breaker to every non-Native cell
           ([--breaker] on the CLI): hostile plans show the trip and its
@@ -71,8 +63,8 @@ type cell = {
 
 type outcome = {
   cells : cell list;
-      (** Grid order — workload-major, scheme, plan-minor — whether the
-          cells were computed per-cell or reassembled from fused jobs. *)
+      (** Grid order — workload-major, scheme, plan-minor —
+          reassembled from the fused (workload, plan) jobs. *)
   failed : Job_pool.failure list;
   violation_count : int;
 }
@@ -82,8 +74,9 @@ val run : settings -> outcome
     and [keep_going] is off. *)
 
 val print_report : settings -> outcome -> unit
-(** Degradation tables and the one-line summary to stdout; failed-cell
-    details to stderr (stdout stays byte-identical across [-j]). *)
+(** Degradation tables and the one-line summary (which counts the cells
+    lost with failed jobs) to stdout; failed-job details to stderr
+    (stdout stays byte-identical across [-j]). *)
 
 val ok : outcome -> bool
 (** No failed cells and no invariant violations — the CLI's exit code. *)

@@ -12,8 +12,10 @@ type settings = {
   quick : bool;  (** Trim sweeps (used by tests). *)
   jobs : int;
       (** Worker processes per table ({!Job_pool}).  Every experiment's
-          cells fan out across this many forked workers; results merge in
-          submission order, so output is byte-identical at any value. *)
+          jobs fan out across this many forked workers; results merge in
+          submission order, so output is byte-identical at any value.  A
+          table whose cells share a trace and differ only in scheme runs
+          one {!Runner.run_fused} job per trace, not one job per cell. *)
   cell_timeout : float option;
       (** Wall-clock seconds per cell attempt; a hung cell is SIGKILLed
           and retried/failed.  [None] (default) disables the watchdog
@@ -27,18 +29,10 @@ type settings = {
       (** Directory for per-table cell journals ({!Job_pool.run_hardened});
           enables [resume]. *)
   resume : bool;  (** Reuse journaled cells from an interrupted run. *)
-  fused : bool;
-      (** Collapse each trace's scheme cells into one fused
-          {!Runner.run_fused} job (the default): the trace is replayed
-          once per (workload, config) group instead of once per cell,
-          and {!Job_pool} parallelism applies across groups.  [false]
-          restores one job per cell — the reference path; both print
-          identical bytes (the fused/per-cell contract, diffed in CI). *)
 }
 
 val default : settings
-(** 2048 EPC pages, ref input 0, full sweeps, serial, fused replay, no
-    hardening. *)
+(** 2048 EPC pages, ref input 0, full sweeps, serial, no hardening. *)
 
 val quick : settings
 (** Smaller EPC and trimmed sweeps for fast integration tests. *)
@@ -76,6 +70,17 @@ val plan_for :
 val settings_key : settings -> string
 (** The settings' contribution to a cell-journal key: journals written
     under one EPC size / input / sweep shape never satisfy another. *)
+
+val group_grid : ('k * 't) list -> ('k * 't list) list
+(** Split a [(key, tag)] grid into one group per key: keys in order of
+    first appearance, each key's tags in grid order.  A scheme grid
+    runs one {!Runner.run_fused} job per group. *)
+
+val ungroup_grid :
+  ('k * 't list) list -> 'r list option list -> ('k * 't) list -> 'r list
+(** [ungroup_grid groups results grid] puts one result list per group
+    (in tag order) back into grid order.  A group whose results are
+    [None] (a failed job) drops all of its cells. *)
 
 (** {1 Data access} *)
 

@@ -74,7 +74,10 @@ let mt_zipf ~threads ~epc_pages ~input =
     ~seed:(Input.seed_of input ~base:302)
     ~sites pattern
 
-let all = [ ("mt-scan", mt_scan ~threads:8); ("mt-zipf", mt_zipf ~threads:8) ]
+let all =
+  List.map
+    (fun (n, m) -> (n, Spec.guard n m))
+    [ ("mt-scan", mt_scan ~threads:8); ("mt-zipf", mt_zipf ~threads:8) ]
 
 let by_name name =
   List.find_map (fun (n, m) -> if n = name then Some m else None) all

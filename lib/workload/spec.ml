@@ -429,7 +429,18 @@ let exchange2 ~epc_pages ~input =
 (* Registry                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let all =
+(* The one EPC-size check every registry model goes through: without it
+   a non-positive size reaches the patterns, which either build a
+   meaningless trace or fail with their own, unrelated message. *)
+let guard name (model : model) : model =
+ fun ~epc_pages ~input ->
+  if epc_pages <= 0 then
+    invalid_arg
+      (Printf.sprintf "workload %s: EPC size must be positive (epc_pages = %d)"
+         name epc_pages);
+  model ~epc_pages ~input
+
+let unguarded =
   [
     ("microbenchmark", Large_regular, microbenchmark);
     ("bwaves", Large_regular, bwaves);
@@ -447,6 +458,8 @@ let all =
     ("nab", Small_working_set, nab);
     ("exchange2", Small_working_set, exchange2);
   ]
+
+let all = List.map (fun (n, c, m) -> (n, c, guard n m)) unguarded
 
 let by_name name =
   List.find_map (fun (n, _, m) -> if n = name then Some m else None) all

@@ -67,8 +67,14 @@ val exchange2 : model
 
 (** {1 Registry} *)
 
+val guard : string -> model -> model
+(** [guard name model] is [model] that first rejects a non-positive
+    [epc_pages] with [Invalid_argument] naming the workload and the EPC
+    size.  Every registry ([all]/[by_name] here, in {!Vision},
+    {!Parallel_apps} and {!Synthetic}) hands out guarded models. *)
+
 val all : (string * category * model) list
-(** Every model above, keyed by the paper's benchmark name. *)
+(** Every model above, guarded, keyed by the paper's benchmark name. *)
 
 val by_name : string -> model option
 

@@ -35,11 +35,13 @@ let best_case ~epc_pages ~input =
        ~compute:50_000 ~jitter:0.0)
 
 let all =
-  [
-    ("oram", oram);
-    ("adversarial-streams", adversarial_streams);
-    ("best-case", best_case);
-  ]
+  List.map
+    (fun (n, m) -> (n, Spec.guard n m))
+    [
+      ("oram", oram);
+      ("adversarial-streams", adversarial_streams);
+      ("best-case", best_case);
+    ]
 
 let by_name name =
   List.find_map (fun (n, m) -> if n = name then Some m else None) all

@@ -37,7 +37,12 @@ let load_trace ~path =
         | None ->
           fail path !lineno (Printf.sprintf "malformed %s field %S" field s)
       in
-      let header = read () in
+      let nat_of field s =
+        let n = int_of field s in
+        if n < 0 then fail path !lineno (Printf.sprintf "negative %s %d" field n);
+        n
+      in
+      let header = try read () with End_of_file -> fail path 1 "empty file" in
       if header <> "# sgx-preload trace v1" then
         fail path !lineno "unrecognised header";
       let name = ref "" and elrange = ref 0 and footprint = ref 0 in
@@ -55,9 +60,9 @@ let load_trace ~path =
            | [ "a"; site; vpage; compute; thread ] ->
              accesses :=
                Access.make ~site:(int_of "site" site)
-                 ~vpage:(int_of "vpage" vpage)
-                 ~compute:(int_of "compute" compute)
-                 ~thread:(int_of "thread" thread) ()
+                 ~vpage:(nat_of "vpage" vpage)
+                 ~compute:(nat_of "compute" compute)
+                 ~thread:(nat_of "thread" thread) ()
                :: !accesses
            | [ "" ] -> ()
            | _ -> fail path !lineno "unrecognised line"
@@ -68,6 +73,12 @@ let load_trace ~path =
       if !footprint > !elrange then
         fail path !lineno
           (Printf.sprintf "footprint %d exceeds elrange %d" !footprint !elrange);
+      (match List.find_opt (fun (a : Access.t) -> a.vpage >= !elrange) !accesses with
+      | Some a ->
+        failwith
+          (Printf.sprintf "Trace_io.load_trace: %s: page %d outside elrange %d"
+             path a.vpage !elrange)
+      | None -> ());
       Trace.make ~name:!name ~elrange_pages:!elrange ~footprint_pages:!footprint
         ~seed:0 ~sites:(List.rev !sites)
         (Pattern.of_events (List.rev !accesses)))

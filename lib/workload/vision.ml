@@ -118,7 +118,10 @@ let mixed_blood ~epc_pages ~input =
     ~seed:(Input.seed_of input ~base:203)
     ~sites pattern
 
-let all = [ ("SIFT", sift); ("MSER", mser); ("mixed-blood", mixed_blood) ]
+let all =
+  List.map
+    (fun (n, m) -> (n, Spec.guard n m))
+    [ ("SIFT", sift); ("MSER", mser); ("mixed-blood", mixed_blood) ]
 
 let by_name name =
   List.find_map (fun (n, m) -> if n = name then Some m else None) all

@@ -217,6 +217,68 @@ let tiny_settings jobs =
     jobs;
   }
 
+(* The matrix's cells rebuilt one [Runner.run] per cell, in grid order
+   (workload, scheme, plan), with the chaos scheme tags and spec: the
+   reference the fused (workload, plan) jobs must reproduce field for
+   field. *)
+let per_cell_reference (settings : Chaos.settings) =
+  let es =
+    {
+      Experiments.quick with
+      Experiments.epc_pages = settings.epc_pages;
+      ref_input = settings.input;
+      quick = settings.quick;
+    }
+  in
+  let config =
+    { Runner.default_config with epc_pages = settings.epc_pages;
+      log_capacity = 1 lsl 20 }
+  in
+  let plans =
+    Fault_plan.none
+    :: List.map (fun p -> Fault_plan.with_seed p settings.seed) settings.plans
+  in
+  List.concat_map
+    (fun workload ->
+      let sip_plan = Experiments.plan_for es workload in
+      let trace = Experiments.trace_of es workload ~input:settings.input in
+      List.concat_map
+        (fun scheme ->
+          List.map
+            (fun plan ->
+              let spec =
+                Runner.Spec.make ~config ~fault_plan:plan
+                  ~input_label:(Input.to_string settings.input) ()
+              in
+              let r = Runner.run ~spec ~scheme trace in
+              let m = r.Runner.metrics in
+              {
+                Chaos.workload;
+                scheme = r.Runner.scheme;
+                plan = plan.Fault_plan.name;
+                cycles = r.Runner.cycles;
+                faults = Sgxsim.Metrics.total_faults m;
+                preloads_issued = m.Sgxsim.Metrics.preloads_issued;
+                preloads_aborted = m.preloads_aborted;
+                preloads_completed = m.preloads_completed;
+                preload_evicted_unused = m.preload_evicted_unused;
+                violations =
+                  List.map
+                    (fun (x : Sim.Validate.violation) ->
+                      Printf.sprintf "[%s] %s" x.check x.detail)
+                    (Sim.Validate.check r);
+              })
+            plans)
+        (* Chaos's scheme tags: baseline, dfp-stop, SIP, hybrid. *)
+        [
+          Preload.Scheme.Baseline;
+          Preload.Scheme.dfp_stop;
+          Preload.Scheme.Sip sip_plan;
+          Preload.Scheme.Hybrid
+            (Preload.Dfp.with_stop Preload.Dfp.default_config, sip_plan);
+        ])
+    settings.workloads
+
 let test_matrix_clean_and_j_invariant () =
   let o1 = Chaos.run (tiny_settings 1) in
   checki "4 schemes x (fault-free + 2 plans)" 12 (List.length o1.Chaos.cells);
@@ -227,10 +289,10 @@ let test_matrix_clean_and_j_invariant () =
   checkb "cells identical at -j2" true (o1.Chaos.cells = o2.Chaos.cells);
   let o3 = Chaos.run (tiny_settings 1) in
   checkb "repeat run identical" true (o1.Chaos.cells = o3.Chaos.cells);
-  (* The fused/per-cell contract: the default fused matrix above must be
-     field-for-field what one job per cell computes. *)
-  let per_cell = Chaos.run { (tiny_settings 1) with Chaos.fused = false } in
-  checkb "fused == per-cell" true (o1.Chaos.cells = per_cell.Chaos.cells)
+  (* The fused jobs must compute, field for field and in grid order,
+     what one replay per cell computes. *)
+  checkb "fused == per-cell" true
+    (o1.Chaos.cells = per_cell_reference (tiny_settings 1))
 
 let test_matrix_invariants_full_bank () =
   (* Every bank plan, including the perfect storm, must leave the
@@ -252,31 +314,10 @@ let contains s sub =
   let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
   at 0
 
-let test_matrix_keeps_going_past_dead_cell () =
-  (* Injected failure in one scheme's cells (per-cell mode, where each
-     cell is its own job): every other cell must still come back, and
-     the failures must name the injected cells. *)
-  Unix.putenv "SGX_PRELOAD_FAIL_CELL" "/SIP/";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "SGX_PRELOAD_FAIL_CELL" "")
-    (fun () ->
-      let o =
-        Chaos.run
-          { (tiny_settings 2) with Chaos.keep_going = true; fused = false }
-      in
-      checki "SIP cells failed (3 plans incl. fault-free)" 3
-        (List.length o.Chaos.failed);
-      checki "other 9 cells survived" 9 (List.length o.Chaos.cells);
-      checkb "not ok" false (Chaos.ok o);
-      List.iter
-        (fun (f : Sim.Job_pool.failure) ->
-          checkb "failure names a SIP cell" true (contains f.label "/SIP/"))
-        o.Chaos.failed)
-
 let test_matrix_keeps_going_past_dead_fused_group () =
-  (* Fused mode bundles the four scheme cells of a (workload, plan) pair
-     into one job, so a dead job drops exactly that pair's cells and the
-     other pairs survive. *)
+  (* The four scheme cells of a (workload, plan) pair run as one fused
+     job, so a dead job drops exactly that pair's cells and the other
+     pairs survive. *)
   Unix.putenv "SGX_PRELOAD_FAIL_CELL" "/jittery-channel";
   Fun.protect
     ~finally:(fun () -> Unix.putenv "SGX_PRELOAD_FAIL_CELL" "")
@@ -323,7 +364,6 @@ let () =
         [
           slow "clean, -j invariant, repeatable" test_matrix_clean_and_j_invariant;
           slow "full bank holds invariants" test_matrix_invariants_full_bank;
-          slow "keeps going past dead cells" test_matrix_keeps_going_past_dead_cell;
           slow "keeps going past dead fused groups"
             test_matrix_keeps_going_past_dead_fused_group;
         ] );

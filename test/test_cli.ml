@@ -72,22 +72,22 @@ let test_chaos_unknown_plan_rejected () =
     (contains err "no-such-plan" && contains err "jittery-channel")
 
 let test_chaos_failed_cells_exit_nonzero () =
-  let env = [ ("SGX_PRELOAD_FAIL_CELL", "/SIP/") ] in
-  (* --no-fused: the "/SIP/" pattern targets per-cell job labels; the
-     fused path groups a plan's schemes into one job (its failure
-     containment is covered in test_chaos.ml). *)
+  (* Kill the fused job of one plan: its four scheme cells are lost, the
+     fault-free job's four survive. *)
+  let env = [ ("SGX_PRELOAD_FAIL_CELL", "/garbled-trace") ] in
   (* Without --keep-going the failures abort the matrix... *)
-  let code, _, err = run_cli ~env (tiny_chaos [ "--no-fused"; "-j"; "2" ]) in
+  let code, _, err = run_cli ~env (tiny_chaos [ "-j"; "2" ]) in
   checkb "abort: exit nonzero" true (code <> 0);
-  checkb "abort: stderr names a lost cell" true (contains err "/SIP/");
+  checkb "abort: stderr names the lost job" true
+    (contains err "fused[" && contains err "/garbled-trace");
   (* ...with it, the rest of the matrix still prints, but the exit code
      must stay nonzero. *)
   let code, out, _ =
-    run_cli ~env (tiny_chaos [ "--no-fused"; "-j"; "2"; "--keep-going" ])
+    run_cli ~env (tiny_chaos [ "-j"; "2"; "--keep-going" ])
   in
   checkb "keep-going: exit nonzero" true (code <> 0);
   checkb "keep-going: survivors reported" true
-    (contains out "8 cells, 0 invariant violation(s), 2 failed cell(s)")
+    (contains out "8 cells, 0 invariant violation(s), 4 failed cell(s)")
 
 let test_chaos_interrupt_and_resume () =
   (* An injected failure stands in for the interrupt: run 1 journals the
@@ -104,18 +104,15 @@ let test_chaos_interrupt_and_resume () =
         (Sys.readdir dir);
       Unix.rmdir dir)
     (fun () ->
-      (* --no-fused throughout: the "/SIP/" kill pattern matches per-cell
-         job labels, and the resumed run must share the interrupted run's
-         journal key (the fused flag is part of it). *)
-      let _, clean, _ = run_cli (tiny_chaos [ "--no-fused" ]) in
+      let _, clean, _ = run_cli (tiny_chaos []) in
       let code, _, _ =
         run_cli
-          ~env:[ ("SGX_PRELOAD_FAIL_CELL", "/SIP/") ]
-          (tiny_chaos [ "--no-fused"; "--keep-going"; "--journal"; dir ])
+          ~env:[ ("SGX_PRELOAD_FAIL_CELL", "/garbled-trace") ]
+          (tiny_chaos [ "--keep-going"; "--journal"; dir ])
       in
       checkb "interrupted run exits nonzero" true (code <> 0);
       let code, resumed, _ =
-        run_cli (tiny_chaos [ "--no-fused"; "--journal"; dir; "--resume" ])
+        run_cli (tiny_chaos [ "--journal"; dir; "--resume" ])
       in
       checki "resumed run exits 0" 0 code;
       checkb "resumed stdout identical to a clean run" true (clean = resumed))
@@ -154,13 +151,18 @@ let malformed =
     [ "stats"; "nope" ];
     [ "record"; "nope" ];
     [ "record"; "lbm"; "--input"; "bogus" ];
+    [ "record"; "lbm"; "--epc"; "0"; "-o"; Filename.null ];
+    [ "record"; "deepsjeng"; "--epc"; "0"; "-o"; Filename.null ];
     [ "replay"; "/nonexistent/trace" ];
     [ "replay"; Sys.executable_name ];
+    [ "replay"; Filename.null ];
+    [ "run"; "lbm"; "--scheme"; "sip"; "--plan"; Filename.null; "--epc"; "256" ];
     [ "validate"; "lbm"; "dfp"; "--epc"; "0" ];
     [ "validate"; "lbm"; "nope" ];
     [ "export"; "lbm"; "--epc"; "0" ];
     [ "export"; "lbm"; "--format"; "nope" ];
     [ "experiment"; "nope" ];
+    [ "experiment"; "--no-fused" ];
     [ "chaos"; "--plans"; "nope" ];
     [ "chaos"; "--workloads"; "nope" ];
     [ "fleet"; "lbm"; "mcf"; "xz"; "--epc"; "2"; "--mode"; "partitioned" ];
@@ -187,17 +189,25 @@ let test_malformed_inputs_exit_cleanly () =
 let test_meaningless_configs_name_the_field () =
   List.iter
     (fun (args, field) ->
+      let what = String.concat " " args in
       let code, out, err = run_cli args in
-      checki (field ^ ": exit 1") 1 code;
-      checkb (field ^ ": named on stderr") true (contains err field);
-      checkb (field ^ ": no table printed") true (String.trim out = ""))
-    [
-      ([ "service"; "lbm"; "--requests"; "0" ], "requests must be positive");
-      ( [ "service"; "lbm"; "--request-events"; "0"; "--requests"; "10" ],
-        "request_events must be positive" );
-      ( [ "fleet"; "lbm"; "mcf"; "xz"; "--epc"; "2"; "--mode"; "partitioned" ],
-        "at least one EPC page per tenant" );
-    ]
+      checki (what ^ ": exit 1") 1 code;
+      checkb (what ^ ": " ^ field ^ " on stderr") true (contains err field);
+      checkb (what ^ ": no table printed") true (String.trim out = ""))
+    ([
+       ([ "service"; "lbm"; "--requests"; "0" ], "requests must be positive");
+       ( [ "service"; "lbm"; "--request-events"; "0"; "--requests"; "10" ],
+         "request_events must be positive" );
+       ( [ "fleet"; "lbm"; "mcf"; "xz"; "--epc"; "2"; "--mode"; "partitioned" ],
+         "at least one EPC page per tenant" );
+     ]
+    (* Every registry model, not only those whose patterns happened to
+       reject a zero size: none may record a meaningless trace. *)
+    @ List.map
+        (fun name ->
+          ( [ "record"; name; "--epc"; "0"; "-o"; Filename.null ],
+            "EPC size must be positive" ))
+        (Sim.Experiments.workload_names ()))
 
 let () =
   let slow name f = Alcotest.test_case name `Slow f in

@@ -465,6 +465,43 @@ let test_plan_io_rejects_garbage () =
            false
          with Failure _ -> true))
 
+(* The plan-file boundary: a damaged plan either loads or is rejected
+   with [Failure] (which the CLI reports with exit 1), never anything
+   else. *)
+let plan_io_fuzz =
+  let decision =
+    QCheck2.Gen.(
+      quad (int_range 0 200) (int_range 0 200) (int_range 0 200) bool)
+  in
+  [
+    QCheck2.Test.make ~name:"damaged plan file loads or fails cleanly"
+      ~count:1000
+      ~print:(fun (_, m) -> Mangle.print m)
+      QCheck2.Gen.(pair (list_size (int_range 0 12) decision) Mangle.gen)
+      (fun (ds, m) ->
+        let decisions =
+          List.mapi
+            (fun site (c1, c2, c3, instrument) ->
+              let counts = { Profiler.c1; c2; c3 } in
+              {
+                Instrumenter.site;
+                counts;
+                ratio = Profiler.irregular_ratio counts;
+                instrument;
+              })
+            ds
+        in
+        let plan =
+          { Instrumenter.workload = "fuzz"; threshold = 0.05; decisions }
+        in
+        ignore
+          (Mangle.load_damaged
+             ~save:(fun path -> Preload.Plan_io.save plan ~path)
+             ~load:(fun path -> Preload.Plan_io.load ~path)
+             m);
+        true);
+  ]
+
 let plan_load_error content =
   let path = Filename.temp_file "sgx_preload_test" ".plan" in
   Fun.protect
@@ -954,7 +991,8 @@ let () =
           tc "rejects garbage" test_plan_io_rejects_garbage;
           tc "error messages not masked" test_plan_io_error_messages_not_masked;
           tc "duplicate and missing sections" test_plan_io_duplicate_and_missing;
-        ] );
+        ]
+        @ props plan_io_fuzz );
       ( "dfp",
         [
           tc "preloads on stream" test_dfp_preloads_on_stream;

@@ -460,6 +460,59 @@ let test_markov_scheme_via_runner () =
   checkb "repeated sweeps are learnable" true
     (Runner.improvement ~baseline:base m > 0.0)
 
+(* A [scheme_grid]-backed table runs one fused job per trace and
+   reassembles the cells in grid order; its rows must be the ones one
+   [Runner.run] per cell gives. *)
+let test_scheme_grid_equals_per_cell_runs () =
+  let settings = { q with Experiments.jobs = 2 } in
+  let spec =
+    Runner.Spec.make
+      ~config:{ Runner.default_config with epc_pages = settings.epc_pages }
+      ~input_label:(Input.to_string settings.ref_input) ()
+  in
+  let expected =
+    List.concat_map
+      (fun b ->
+        let trace = Experiments.trace_of settings b ~input:settings.ref_input in
+        let run scheme = Runner.run ~spec ~scheme trace in
+        let baseline = run Scheme.Baseline in
+        List.map
+          (fun scheme ->
+            let r = run scheme in
+            {
+              Experiments.workload = r.workload;
+              scheme = r.scheme;
+              normalized = Runner.normalized_time ~baseline r;
+              improvement = Runner.improvement ~baseline r;
+              fault_reduction = Report.fault_reduction ~baseline r;
+              stopped = r.dfp_stopped;
+            })
+          [ Scheme.dfp_default; Scheme.dfp_stop ])
+      [ "lbm"; "roms" ]
+  in
+  checkb "fig8 rows == per-cell rows" true
+    (Experiments.fig8_rows settings = expected)
+
+let test_grid_regrouping_order () =
+  (* Tag-major grid: the keys interleave, as in the chaos matrix. *)
+  let grid = [ ("a", 1); ("b", 1); ("a", 2); ("b", 2); ("c", 1) ] in
+  let groups = Experiments.group_grid grid in
+  checkb "one group per key, first-appearance order" true
+    (groups = [ ("a", [ 1; 2 ]); ("b", [ 1; 2 ]); ("c", [ 1 ]) ]);
+  let results =
+    List.map
+      (fun (k, tags) -> Some (List.map (fun t -> Printf.sprintf "%s%d" k t) tags))
+      groups
+  in
+  checkb "back in grid order" true
+    (Experiments.ungroup_grid groups results grid
+    = [ "a1"; "b1"; "a2"; "b2"; "c1" ]);
+  checkb "a group without results drops its cells" true
+    (Experiments.ungroup_grid groups
+       [ List.hd results; None; List.nth results 2 ]
+       grid
+    = [ "a1"; "a2"; "c1" ])
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -516,5 +569,8 @@ let () =
           tc "runner reports points" test_runner_reports_instrumentation_points;
           slow "markov via runner" test_markov_scheme_via_runner;
           tc "catalog" test_experiments_catalog;
+          slow "scheme grid == per-cell runs"
+            test_scheme_grid_equals_per_cell_runs;
+          tc "grid regrouping order" test_grid_regrouping_order;
         ] );
     ]

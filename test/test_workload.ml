@@ -413,6 +413,42 @@ let test_trace_io_error_messages_not_masked () =
         (contains msg "malformed vpage field");
       checkb "bad int keeps the offending text" true (contains msg "xyz"))
 
+(* The trace-file boundary: a damaged file either loads into a trace
+   whose events replay inside its ELRANGE, or is rejected with
+   [Failure] (which the CLI reports with exit 1), never anything else. *)
+let trace_io_fuzz =
+  let access =
+    QCheck2.Gen.(
+      quad (int_range 0 3) (int_range 0 15) (int_range 0 500) (int_range 0 2))
+  in
+  [
+    QCheck2.Test.make ~name:"damaged trace file loads or fails cleanly"
+      ~count:1000
+      ~print:(fun (_, m) -> Mangle.print m)
+      QCheck2.Gen.(pair (list_size (int_range 1 30) access) Mangle.gen)
+      (fun (accesses, m) ->
+        let trace =
+          Trace.make ~name:"fuzz" ~elrange_pages:16 ~footprint_pages:16 ~seed:0
+            ~sites:[ (0, "s0"); (1, "s1") ]
+            (Pattern.of_events
+               (List.map
+                  (fun (site, vpage, compute, thread) ->
+                    Access.make ~site ~vpage ~compute ~thread ())
+                  accesses))
+        in
+        match
+          Mangle.load_damaged
+            ~save:(fun path -> Workload.Trace_io.save_trace trace ~path)
+            ~load:(fun path -> Workload.Trace_io.load_trace ~path)
+            m
+        with
+        | None -> true
+        | Some t ->
+          Seq.for_all
+            (fun (a : Access.t) -> a.vpage >= 0 && a.vpage < t.Trace.elrange_pages)
+            (Trace.events t));
+  ]
+
 let test_trace_io_validates_footprint () =
   with_temp_file (fun path ->
       checkb "missing footprint rejected" true
@@ -722,7 +758,8 @@ let () =
           tc "rejects garbage" test_trace_io_rejects_garbage;
           tc "error messages not masked" test_trace_io_error_messages_not_masked;
           tc "validates footprint" test_trace_io_validates_footprint;
-        ] );
+        ]
+        @ props trace_io_fuzz );
       ( "trace_stats",
         [
           tc "sequential stats" test_stats_of_sequential;
