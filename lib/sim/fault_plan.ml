@@ -1,5 +1,6 @@
 module Prng = Repro_util.Prng
 module Access = Workload.Access
+module Trace_arena = Workload.Trace_arena
 module Sip_instrumenter = Preload.Sip_instrumenter
 
 type channel_fault = {
@@ -157,6 +158,19 @@ let perturb_trace t ~elrange_pages (seq : Access.t Seq.t) : Access.t Seq.t =
     (match f.truncate_after with
     | None -> indexed
     | Some n -> Seq.take n indexed)
+
+(* The stream a run under this plan replays.  A plan that leaves the
+   stream alone shares the memoised compilation; a corrupting/truncating
+   one materialises its perturbed view once into a private arena, so
+   every driver steps the same packed columns either way. *)
+let arena t trace =
+  let compiled = Trace_arena.compile trace in
+  match t.trace with
+  | None -> compiled
+  | Some _ ->
+    Trace_arena.of_seq trace
+      (perturb_trace t ~elrange_pages:trace.Workload.Trace.elrange_pages
+         (Trace_arena.to_seq compiled))
 
 (* A stale SIP plan: the profile came from a mismatched build, so the
    site ids no longer line up with the running binary.  Modelled by

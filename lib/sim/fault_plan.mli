@@ -89,6 +89,14 @@ val perturb_trace :
 (** Corrupt/truncate an access stream.  Draws are keyed by event index,
     so the result is re-entrant exactly like [Trace.events]. *)
 
+val arena : t -> Workload.Trace.t -> Workload.Trace_arena.t
+(** The stream a run of [trace] under this plan replays.  Without a
+    trace fault this is the memoised {!Workload.Trace_arena.compile};
+    otherwise a fresh arena of {!perturb_trace}'s stream (built with
+    {!Workload.Trace_arena.of_seq}: never memoised or cached, and
+    [Trace.length trace] keeps describing the unperturbed stream).
+    Every driver — fused, fleet, service — replays this one value. *)
+
 val scramble_plan : t -> Preload.Sip_instrumenter.plan -> Preload.Sip_instrumenter.plan
 (** Permute which sites carry the plan's decisions when
     [stale_sip_plan]; identity otherwise. *)

@@ -5,7 +5,6 @@ module Metrics = Sgxsim.Metrics
 module Arbiter = Sgxsim.Load_channel.Arbiter
 module Trace = Workload.Trace
 module Trace_arena = Workload.Trace_arena
-module Access = Workload.Access
 module Scheme = Preload.Scheme
 module Table = Repro_util.Table
 
@@ -61,7 +60,7 @@ type outcome = {
 }
 
 (* One tenant's position in the interleaved replay: its runner instance
-   plus a cursor over its (possibly plan-perturbed) access stream. *)
+   plus a cursor over the plan's arena of its trace. *)
 type feed = {
   inst : Runner.instance;
   spec : Runner.Spec.t;
@@ -69,10 +68,6 @@ type feed = {
          size, so each carries the spec it was built under into
          [finalize]. *)
   arena : Trace_arena.t;
-  events : Access.t array option;
-      (* Materialised per tenant when the plan corrupts/truncates the
-         stream; [None] replays straight off the arena columns. *)
-  len : int;
   mutable idx : int;
 }
 
@@ -127,25 +122,10 @@ let run ?(config = default_config) ?(fault_plan = Fault_plan.none)
         let inst =
           Runner.make_instance ?epc:pool ~owner:i ~spec ~trace:t.trace t.scheme
         in
-        let arena = Trace_arena.compile t.trace in
-        let events =
-          match fault_plan.Fault_plan.trace with
-          | None -> None
-          | Some _ ->
-            (* Draws are keyed by event index, so each tenant's stream is
-               exactly what its solo run would have consumed. *)
-            Some
-              (Array.of_seq
-                 (Fault_plan.perturb_trace fault_plan
-                    ~elrange_pages:t.trace.Trace.elrange_pages
-                    (Trace_arena.to_seq arena)))
-        in
-        let len =
-          match events with
-          | Some evs -> Array.length evs
-          | None -> Trace_arena.length arena
-        in
-        { inst; spec; arena; events; len; idx = 0 })
+        (* Draws are keyed by event index, so each tenant's stream is
+           exactly what its solo run would have consumed. *)
+        let arena = Fault_plan.arena fault_plan t.trace in
+        { inst; spec; arena; idx = 0 })
       tenants
   in
   let enclaves = Array.map (fun f -> f.inst.Runner.enclave) feeds in
@@ -192,32 +172,23 @@ let run ?(config = default_config) ?(fault_plan = Fault_plan.none)
      event at a time.  This is the fleet's co-tenancy schedule — the
      shared pool and arbiter see accesses in global time order — and for
      a fleet of one it degenerates to the plain in-order replay. *)
+  let len f = Trace_arena.length f.arena in
   let live = ref n in
-  Array.iter (fun f -> if f.len = 0 then decr live) feeds;
+  Array.iter (fun f -> if len f = 0 then decr live) feeds;
   while !live > 0 do
     let best = ref (-1) in
     for i = n - 1 downto 0 do
       let f = feeds.(i) in
       if
-        f.idx < f.len
+        f.idx < len f
         && (!best < 0
            || f.inst.Runner.now <= feeds.(!best).inst.Runner.now)
       then best := i
     done;
     let f = feeds.(!best) in
-    (match f.events with
-    | None ->
-      Runner.step f.inst
-        ~site:(Trace_arena.site f.arena f.idx)
-        ~vpage:(Trace_arena.vpage f.arena f.idx)
-        ~compute:(Trace_arena.compute f.arena f.idx)
-        ~thread:(Trace_arena.thread f.arena f.idx)
-    | Some evs ->
-      let a = evs.(f.idx) in
-      Runner.step f.inst ~site:a.Access.site ~vpage:a.Access.vpage
-        ~compute:a.Access.compute ~thread:a.Access.thread);
+    Runner.replay f.inst f.arena ~lo:f.idx ~hi:(f.idx + 1);
     f.idx <- f.idx + 1;
-    if f.idx >= f.len then decr live
+    if f.idx >= len f then decr live
   done;
   let results =
     Array.to_list

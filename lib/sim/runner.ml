@@ -3,7 +3,7 @@ module Cost_model = Sgxsim.Cost_model
 module Metrics = Sgxsim.Metrics
 module Event = Sgxsim.Event
 module Trace = Workload.Trace
-module Access = Workload.Access
+module Trace_arena = Workload.Trace_arena
 module Scheme = Preload.Scheme
 module Breaker = Preload.Breaker
 module Histogram = Repro_util.Histogram
@@ -406,57 +406,43 @@ let step inst ~site ~vpage ~compute ~thread =
   in
   inst.now <- t
 
+(* The one stepping loop: replay arena events [\[lo, hi)] on one
+   instance.  Every driver walks its stream through here — the fused
+   fan-out a block at a time, the fleet one event at a time, a service
+   request one slice at a time — and the loop allocates nothing. *)
+let replay inst arena ~lo ~hi =
+  for i = lo to hi - 1 do
+    step inst ~site:(Trace_arena.site arena i) ~vpage:(Trace_arena.vpage arena i)
+      ~compute:(Trace_arena.compute arena i)
+      ~thread:(Trace_arena.thread arena i)
+  done
+
 let run_fused ?(spec = Spec.default) ~schemes trace =
-  let fault_plan = spec.Spec.fault_plan in
   let instances =
     Array.of_list (List.map (make_instance ~spec ~trace) schemes)
   in
-  let n = Array.length instances in
-  (* Replay from the compiled arena, fanning each access out to every
-     instance.  Instances advance their private clocks independently and
-     share nothing mutable, so ANY replay interleaving produces, per
-     instance, the exact event sequence a solo pass would — the trace is
-     decoded once instead of [n] times.  The fan-out is chunked, not
-     per-event: each instance replays a cache-sized block of the packed
-     columns before the next instance takes the same block.  Per-event
-     round-robin would drag [n] enclaves' page tables through the cache
-     between consecutive accesses of each one; per-block, an instance's
-     working set stays hot for the whole block and the block's columns
-     (four int columns, ~2 MB at this size) stay hot across the [n]
-     replays of it.  Only a plan that corrupts/truncates the stream
-     itself needs the [Seq] view, which is one-shot and therefore fans
-     out per event; [perturb_trace] draws are keyed by event index, so
-     the one shared perturbed stream is identical to the stream each
-     solo run would have drawn. *)
-  let arena = Workload.Trace_arena.compile trace in
-  (match fault_plan.Fault_plan.trace with
-  | None ->
-    let block = 16384 in
-    let len = Workload.Trace_arena.length arena in
-    let lo = ref 0 in
-    while !lo < len do
-      let hi = min len (!lo + block) in
-      for i = 0 to n - 1 do
-        let inst = instances.(i) in
-        Workload.Trace_arena.iter_range arena ~lo:!lo ~hi
-          ~f:(fun ~site ~vpage ~compute ~thread ->
-            step inst ~site ~vpage ~compute ~thread)
-      done;
-      lo := hi
-    done
-  | Some _ ->
-    let step_all ~site ~vpage ~compute ~thread =
-      for i = 0 to n - 1 do
-        step instances.(i) ~site ~vpage ~compute ~thread
-      done
-    in
-    Seq.iter
-      (fun (a : Access.t) ->
-        step_all ~site:a.site ~vpage:a.vpage ~compute:a.compute
-          ~thread:a.thread)
-      (Fault_plan.perturb_trace fault_plan
-         ~elrange_pages:trace.Trace.elrange_pages
-         (Workload.Trace_arena.to_seq arena)));
+  (* Replay the plan's stream (the compiled arena, or its perturbed copy
+     under a trace fault), fanning it out to every instance.  Instances
+     advance their private clocks independently and share nothing
+     mutable, so ANY replay interleaving produces, per instance, the
+     exact event sequence a solo pass would — the trace is decoded once
+     instead of once per scheme.  The fan-out is chunked, not per-event: each
+     instance replays a cache-sized block of the packed columns before
+     the next instance takes the same block.  Per-event round-robin
+     would drag [n] enclaves' page tables through the cache between
+     consecutive accesses of each one; per-block, an instance's working
+     set stays hot for the whole block and the block's columns (four int
+     columns, ~2 MB at this size) stay hot across the [n] replays of
+     it. *)
+  let arena = Fault_plan.arena spec.Spec.fault_plan trace in
+  let block = 16384 in
+  let len = Trace_arena.length arena in
+  let lo = ref 0 in
+  while !lo < len do
+    let hi = min len (!lo + block) in
+    Array.iter (fun inst -> replay inst arena ~lo:!lo ~hi) instances;
+    lo := hi
+  done;
   List.map (finalize ~spec ~trace) (Array.to_list instances)
 
 let run ?spec ~scheme trace =

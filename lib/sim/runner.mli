@@ -167,10 +167,12 @@ val run_fused :
 (** {1 Single-instance machinery}
 
     The pieces [run_fused] is built from, exposed so {!Fleet} can drive
-    several enclaves against {e different} traces under one shared EPC —
-    a shape the scheme-fan-out of [run_fused] (one trace, many schemes)
-    cannot express.  The contract: [make_instance] + per-event [step]s
-    + [finalize] is exactly one [run]. *)
+    several enclaves against {e different} traces under one shared EPC,
+    and {!Service} a pool of instances request slice by request slice —
+    shapes the scheme fan-out of [run_fused] (one trace, many schemes)
+    cannot express.  The contract: [make_instance], then {!replay} over
+    consecutive ranges covering [\[0, length)] of the plan's
+    {!Fault_plan.arena}, then [finalize] is exactly one [run]. *)
 
 type instance = {
   i_scheme : Preload.Scheme.t;  (** Post stale-plan scramble. *)
@@ -215,20 +217,15 @@ val make_instance :
     [owner] tag; both are ignored for Native (which models
     unconstrained RAM and must not contend for EPC). *)
 
-val check_crash : instance -> unit
-(** Evaluate the crash schedule up to the instance's current clock:
-    every not-yet-judged crash window gets its seeded draw; the first
-    that fires crashes the enclave at [now], charges the restart delay
-    to [cyc_restart] {e and} the clock (preserving the cycle identity),
-    then rewarns under [Rewarm].  Called by {!step} before each event;
-    exposed for drivers (e.g. [Service]) that advance clocks outside
-    [step]. *)
-
-val step :
-  instance -> site:int -> vpage:int -> compute:int -> thread:int -> unit
-(** Replay one trace event: crash-schedule check, compute span, then the
-    (SIP-checked or plain) access, advancing the instance's private
-    clock. *)
+val replay : instance -> Workload.Trace_arena.t -> lo:int -> hi:int -> unit
+(** Step the instance over arena events [\[lo, hi)] ([0 <= lo],
+    [hi <= length]; an empty range is a no-op): per event, the
+    crash-schedule check, the compute span, then the (SIP-checked or
+    plain) access, advancing the instance's private clock.  The one
+    stepping loop every driver uses — fused blocks, fleet single events,
+    service request slices — and it allocates nothing per call.  Pass
+    the {!Fault_plan.arena} of the spec's plan, so a trace-corrupting
+    plan reaches every driver through the same stream. *)
 
 val finalize : spec:Spec.t -> trace:Workload.Trace.t -> instance -> result
 (** Drain background work at the instance's final clock and package the

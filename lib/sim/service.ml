@@ -3,9 +3,7 @@ module Stats = Repro_util.Stats
 module Histogram = Repro_util.Histogram
 module Cost_model = Sgxsim.Cost_model
 module Metrics = Sgxsim.Metrics
-module Trace = Workload.Trace
 module Trace_arena = Workload.Trace_arena
-module Access = Workload.Access
 module Scheme = Preload.Scheme
 
 type arrival_process =
@@ -236,41 +234,16 @@ type outcome = {
   results : Runner.result list;
 }
 
-(* The per-request event source: the (possibly perturbed) compiled
-   stream, sliced by index with wrap-around.  A trace-corrupting plan
-   materialises the perturbed stream once — draws are keyed by event
-   index, so every scheme cell consumes identical corruption. *)
-let event_source fault_plan trace =
-  let arena = Trace_arena.compile trace in
-  match fault_plan.Fault_plan.trace with
-  | None ->
-    let len = Trace_arena.length arena in
-    let get i =
-      ( Trace_arena.site arena i,
-        Trace_arena.vpage arena i,
-        Trace_arena.compute arena i,
-        Trace_arena.thread arena i )
-    in
-    (len, get)
-  | Some _ ->
-    let arr =
-      Array.of_seq
-        (Fault_plan.perturb_trace fault_plan
-           ~elrange_pages:trace.Trace.elrange_pages
-           (Trace_arena.to_seq arena))
-    in
-    let get i =
-      let a = arr.(i) in
-      (a.Access.site, a.Access.vpage, a.Access.compute, a.Access.thread)
-    in
-    (Array.length arr, get)
-
 let run ?(config = default_config) ?(fault_plan = Fault_plan.none)
     ?(input_label = "") ~scheme trace =
   let c = validate_config config in
   let z = c.resilience in
   let arrivals = arrival_times c in
-  let len, event = event_source fault_plan trace in
+  (* Requests replay consecutive slices of the plan's stream, wrapping at
+     its end.  Draws are keyed by event index, so every scheme cell
+     consumes identical corruption. *)
+  let arena = Fault_plan.arena fault_plan trace in
+  let len = Trace_arena.length arena in
   let spec =
     Runner.Spec.make
       ~config:
@@ -290,7 +263,7 @@ let run ?(config = default_config) ?(fault_plan = Fault_plan.none)
   (* The service layer keeps its own timeline: [free_at.(i)] is when
      instance [i] finishes its current request, *including* the
      transition cycles charged here.  The instance's private clock
-     [inst.now] advances only through [Runner.step], preserving the
+     [inst.now] advances only through [Runner.replay], preserving the
      cycle identity [Validate.check] enforces on each finalized run. *)
   let free_at = Array.make c.pool 0 in
   let latency_h =
@@ -331,11 +304,15 @@ let run ?(config = default_config) ?(fault_plan = Fault_plan.none)
     in
     let start = max dispatch free_at.(i) in
     let before = inst.Runner.now in
-    if len > 0 then
-      for j = 0 to c.request_events - 1 do
-        let site, vpage, compute, thread = event ((offset + j) mod len) in
-        Runner.step inst ~site ~vpage ~compute ~thread
-      done;
+    (* The slice [offset, offset + request_events) of the stream repeated
+       end to end, one [replay] per wrap. *)
+    let lo = ref offset and left = ref c.request_events in
+    while len > 0 && !left > 0 do
+      let hi = min len (!lo + !left) in
+      Runner.replay inst arena ~lo:!lo ~hi;
+      left := !left - (hi - !lo);
+      lo := 0
+    done;
     let service = inst.Runner.now - before in
     let finish = start + transition + service in
     free_at.(i) <- finish;

@@ -37,20 +37,17 @@ let vpage a i = Bigarray.Array1.get a.packed.Codec.vpage i
 let compute a i = Bigarray.Array1.get a.packed.Codec.compute i
 let thread a i = Bigarray.Array1.get a.packed.Codec.thread i
 
-let iter_range a ~lo ~hi ~f =
-  let lo = max lo 0 and hi = min hi (length a) in
+let iter a ~f =
   let p = a.packed in
   let s = p.Codec.site and v = p.Codec.vpage in
   let c = p.Codec.compute and th = p.Codec.thread in
-  for i = lo to hi - 1 do
+  for i = 0 to length a - 1 do
     f
       ~site:(Bigarray.Array1.unsafe_get s i)
       ~vpage:(Bigarray.Array1.unsafe_get v i)
       ~compute:(Bigarray.Array1.unsafe_get c i)
       ~thread:(Bigarray.Array1.unsafe_get th i)
   done
-
-let iter a ~f = iter_range a ~lo:0 ~hi:(length a) ~f
 
 let fold a ~init ~f =
   let acc = ref init in
@@ -144,8 +141,8 @@ let store_cached k p =
 let compilations_counter = ref 0
 let compilations () = !compilations_counter
 
-let build trace fp =
-  incr compilations_counter;
+(* Materialise [events] into packed columns under [trace]'s header. *)
+let build trace fp events =
   let cap = ref 4096 in
   let n = ref 0 in
   let site = ref (Array.make !cap 0) in
@@ -172,7 +169,7 @@ let build trace fp =
       !thread.(i) <- a.thread;
       Hashtbl.replace distinct a.vpage ();
       n := i + 1)
-    (Trace.events trace);
+    events;
   let column src =
     let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout !n in
     for i = 0 to !n - 1 do
@@ -207,7 +204,8 @@ let compile trace =
         match load_cached trace fp k with
         | Some p -> p
         | None ->
-          let p = build trace fp in
+          incr compilations_counter;
+          let p = build trace fp (Trace.events trace) in
           store_cached k p;
           p
       in
@@ -217,6 +215,10 @@ let compile trace =
   in
   Trace.note_stats trace ~length:(length a) ~distinct_pages:(distinct_pages a);
   a
+
+(* A derived stream has no cache identity: the fingerprint slot stays 0
+   because the arena never reaches the memo or the disk. *)
+let of_seq trace events = { trace; packed = build trace 0 events }
 
 let cache_path trace =
   match cache_dir () with

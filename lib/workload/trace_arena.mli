@@ -23,6 +23,14 @@ val compile : Trace.t -> t
     different trace is treated as a miss and regenerated, never an
     error. *)
 
+val of_seq : Trace.t -> Access.t Seq.t -> t
+(** Materialise an arbitrary access stream (e.g. a fault plan's
+    perturbed view of [trace]'s stream) into a fresh arena under
+    [trace]'s header.  The result is never memoised, never persisted,
+    never deposited on [trace] through {!Trace.note_stats}, and not
+    counted by {!compilations}: [trace]'s own statistics keep describing
+    its own stream. *)
+
 val trace : t -> Trace.t
 val length : t -> int
 val distinct_pages : t -> int
@@ -33,17 +41,6 @@ val iter :
   t -> f:(site:int -> vpage:int -> compute:int -> thread:int -> unit) -> unit
 (** In-order replay; the callback receives unboxed ints, so the loop
     allocates nothing per access. *)
-
-val iter_range :
-  t ->
-  lo:int ->
-  hi:int ->
-  f:(site:int -> vpage:int -> compute:int -> thread:int -> unit) ->
-  unit
-(** [iter] over indices [\[max lo 0, min hi (length t))] — the fused
-    replay's chunking primitive (each scheme instance replays one
-    cache-sized block of the columns before the next instance takes
-    it). *)
 
 val fold :
   t ->
@@ -79,8 +76,8 @@ val cache_path : Trace.t -> string option
 
 val compilations : unit -> int
 (** Number of full stream materialisations this process has performed —
-    memo and disk-cache hits do not count.  Tests pin "one compilation
-    per trace" on this. *)
+    memo and disk-cache hits do not count, nor do {!of_seq} arenas.
+    Tests pin "one compilation per trace" on this. *)
 
 val clear_memo : unit -> unit
 (** Drop the in-process memo (tests use this to force the disk path). *)

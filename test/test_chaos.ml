@@ -92,6 +92,63 @@ let test_trace_truncation () =
           ~elrange_pages:trace.Workload.Trace.elrange_pages
           (Workload.Trace.events trace)))
 
+(* [Fault_plan.arena] is the one stream every driver replays: its columns
+   must be [perturb_trace]'s stream element for element, a fault-free
+   plan must hand back the memoised compilation itself, and a derived
+   arena must leave the trace's own statistics and memo untouched. *)
+let truncating_plan n =
+  {
+    (Fault_plan.with_seed Fault_plan.garbled_trace 7) with
+    Fault_plan.name = "truncating";
+    trace = Some { Fault_plan.corrupt_chance = 0.05; truncate_after = Some n };
+  }
+
+let arena_events a =
+  List.init (Workload.Trace_arena.length a) (Workload.Trace_arena.get a)
+
+let test_arena_matches_perturb_trace () =
+  let trace =
+    Experiments.trace_of Experiments.quick "best-case" ~input:(Input.Ref 0)
+  in
+  List.iter
+    (fun p ->
+      let expected =
+        List.of_seq
+          (Fault_plan.perturb_trace p
+             ~elrange_pages:trace.Workload.Trace.elrange_pages
+             (Workload.Trace.events trace))
+      in
+      checkb
+        (p.Fault_plan.name ^ ": arena = perturb_trace")
+        true
+        (arena_events (Fault_plan.arena p trace) = expected))
+    (truncating_plan 500 :: Fault_plan.bank)
+
+let test_arena_fault_free_is_memoised () =
+  let trace =
+    Experiments.trace_of Experiments.quick "best-case" ~input:(Input.Ref 0)
+  in
+  let compiled = Workload.Trace_arena.compile trace in
+  let c0 = Workload.Trace_arena.compilations () in
+  checkb "fault-free plan returns the memoised arena" true
+    (Fault_plan.arena Fault_plan.none trace == compiled);
+  checkb "stream-preserving plan too" true
+    (Fault_plan.arena Fault_plan.jittery_channel trace == compiled);
+  checki "no compilation" c0 (Workload.Trace_arena.compilations ())
+
+let test_arena_perturbed_is_private () =
+  let trace =
+    Experiments.trace_of Experiments.quick "best-case" ~input:(Input.Ref 0)
+  in
+  let full = Seq.length (Workload.Trace.events trace) in
+  let derived = Fault_plan.arena (truncating_plan 500) trace in
+  checki "derived arena truncated" 500 (Workload.Trace_arena.length derived);
+  checki "Trace.length unchanged" full (Workload.Trace.length trace);
+  let compiled = Workload.Trace_arena.compile trace in
+  checkb "memo still holds the unperturbed stream" true
+    (compiled != derived
+    && arena_events compiled = List.of_seq (Workload.Trace.events trace))
+
 let test_scramble_plan_permutes () =
   let plan = Experiments.plan_for Experiments.quick "deepsjeng" in
   let stale = Fault_plan.with_seed Fault_plan.stale_profile 7 in
@@ -350,6 +407,9 @@ let () =
           tc "co-tenant budget bounded" test_co_tenant_budget_bounds;
           tc "trace perturbation re-entrant" test_trace_perturbation_reentrant;
           tc "trace truncation" test_trace_truncation;
+          tc "arena = perturb_trace" test_arena_matches_perturb_trace;
+          tc "fault-free arena memoised" test_arena_fault_free_is_memoised;
+          tc "perturbed arena private" test_arena_perturbed_is_private;
           tc "stale plan scrambling" test_scramble_plan_permutes;
           tc "parameter validation" test_validate_rejects_bad_params;
           tc "bank lookup" test_bank_lookup;

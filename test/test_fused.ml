@@ -1,7 +1,7 @@
 (* The fused-replay lock: [Runner.run_fused ~schemes] must be
    field-for-field identical to running each scheme in its own pass —
-   over arbitrary scheme mixes, fault plans (both the arena fan-out path
-   and the trace-corruption [Seq] path) and trace seeds.  Same lock style
+   over arbitrary scheme mixes, fault plans (both the compiled arena and
+   a trace-corrupting plan's perturbed arena) and trace seeds.  Same lock style
    as the deque-vs-list differential of PR 2: a reference semantics
    ([List.map Runner.run]) pitted against the optimized path on random
    inputs. *)
@@ -113,9 +113,9 @@ let test_all_schemes_fault_free () =
   run_diff ~seed:7 ~plan:Fault_plan.none ~schemes:(scheme_pool trace)
 
 let test_all_plans_mixed_schemes () =
-  (* Each bank plan (including the trace-corrupting ones, which exercise
-     the shared-Seq fan-out instead of the arena path) against a mix that
-     includes both preloading and plain schemes. *)
+  (* Each bank plan (including the trace-corrupting ones, which fan out
+     over a shared perturbed arena instead of the memoised one) against a
+     mix that includes both preloading and plain schemes. *)
   let trace = trace_for 11 in
   let schemes =
     [ Scheme.Baseline; Scheme.Native; Scheme.dfp_default;

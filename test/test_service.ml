@@ -2,6 +2,7 @@
    accounting, and the determinism contract. *)
 
 module Service = Sim.Service
+module Runner = Sim.Runner
 module Fault_plan = Sim.Fault_plan
 module Validate = Sim.Validate
 module Scheme = Preload.Scheme
@@ -307,6 +308,94 @@ let test_throughput_positive () =
     >= (Service.arrival_times config).(config.Service.requests - 1))
 
 (* ------------------------------------------------------------------ *)
+(* The service's replay stream is the solo stream                      *)
+(* ------------------------------------------------------------------ *)
+
+let solo_spec ?(fault_plan = Fault_plan.none) () =
+  Runner.Spec.make
+    ~config:
+      {
+        Runner.epc_pages = config.Service.epc_pages;
+        costs = config.Service.costs;
+        log_capacity = 0;
+      }
+    ~fault_plan ()
+
+let test_service_of_one_is_solo_run () =
+  (* One instance serving one request that spans the whole stream replays
+     exactly what [Runner.run] replays, under every plan — trace-corrupting
+     ones included. *)
+  let one =
+    {
+      config with
+      Service.pool = 1;
+      requests = 1;
+      request_events = Workload.Trace.length trace;
+    }
+  in
+  List.iter
+    (fun plan ->
+      List.iter
+        (fun scheme ->
+          let o = Service.run ~config:one ~fault_plan:plan ~scheme trace in
+          let solo =
+            Runner.run ~spec:(solo_spec ~fault_plan:plan ()) ~scheme trace
+          in
+          let ctx what =
+            Printf.sprintf "%s/%s: %s" plan.Fault_plan.name
+              (Scheme.name scheme) what
+          in
+          match o.Service.results with
+          | [ r ] ->
+            checki (ctx "cycles") solo.Runner.cycles r.Runner.cycles;
+            checkb (ctx "whole result equal") true (r = solo)
+          | rs -> Alcotest.failf "%s" (ctx (Printf.sprintf "%d results" (List.length rs))))
+        [ Scheme.Baseline; Scheme.dfp_stop ])
+    (Fault_plan.none :: Fault_plan.bank)
+
+let test_slices_wrap_at_truncated_length () =
+  (* A truncated stream of [n] events, served in requests longer than
+     [n]: each slice wraps at [n], and the instance replays the slices
+     back to back — the same as a fault-free solo run of their
+     concatenation. *)
+  let n = 150 in
+  let plan =
+    {
+      Fault_plan.none with
+      Fault_plan.name = "truncate-150";
+      trace = Some { Fault_plan.corrupt_chance = 0.0; truncate_after = Some n };
+    }
+  in
+  let wrapping = { config with Service.pool = 1; requests = 5; request_events = 400 } in
+  let arena = Workload.Trace_arena.compile trace in
+  let slices =
+    List.concat
+      (List.init wrapping.Service.requests (fun k ->
+           let offset = k * wrapping.Service.request_events mod n in
+           List.init wrapping.Service.request_events (fun j ->
+               Workload.Trace_arena.get arena ((offset + j) mod n))))
+  in
+  let concatenated =
+    Workload.Trace.make ~name:"wrapped-slices"
+      ~elrange_pages:trace.Workload.Trace.elrange_pages
+      ~footprint_pages:trace.Workload.Trace.footprint_pages
+      ~seed:trace.Workload.Trace.seed ~sites:trace.Workload.Trace.sites
+      (Workload.Pattern.of_events slices)
+  in
+  List.iter
+    (fun scheme ->
+      let o = Service.run ~config:wrapping ~fault_plan:plan ~scheme trace in
+      let solo = Runner.run ~spec:(solo_spec ()) ~scheme concatenated in
+      match o.Service.results with
+      | [ r ] ->
+        checki (Scheme.name scheme ^ ": cycles") solo.Runner.cycles
+          r.Runner.cycles;
+        checkb (Scheme.name scheme ^ ": metrics equal") true
+          (r.Runner.metrics = solo.Runner.metrics)
+      | rs -> Alcotest.failf "%d results" (List.length rs))
+    [ Scheme.Baseline; Scheme.dfp_stop ]
+
+(* ------------------------------------------------------------------ *)
 (* Matrix determinism                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -408,6 +497,12 @@ let () =
           tc "quantile endpoints and monotonicity"
             test_quantile_endpoints_and_monotonicity;
           tc "throughput positive" test_throughput_positive;
+        ] );
+      ( "solo identity",
+        [
+          tc "service of one is a solo run" test_service_of_one_is_solo_run;
+          tc "slices wrap at truncated length"
+            test_slices_wrap_at_truncated_length;
         ] );
       ( "matrix",
         [
