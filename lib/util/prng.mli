@@ -5,7 +5,9 @@
     generator is SplitMix64 (Steele, Lea & Flood, OOPSLA'14): tiny state,
     excellent statistical quality for simulation purposes, and trivially
     splittable, which lets independent workload phases draw from
-    independent streams. *)
+    independent streams.  The state is 8 unboxed bytes, so advancing it
+    allocates nothing: [int], [int_in], [chance] and [zipf] draws are
+    allocation-free. *)
 
 type t
 (** Mutable generator state. *)

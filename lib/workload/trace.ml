@@ -16,6 +16,8 @@ let make ~name ~elrange_pages ~footprint_pages ~seed ~sites pattern =
   if elrange_pages <= 0 then invalid_arg "Trace.make: elrange must be positive";
   { name; elrange_pages; footprint_pages; seed; pattern; sites; stats = None }
 
+let cursor t = Pattern.instantiate t.pattern (Prng.create t.seed)
+
 let events t = Pattern.run t.pattern (Prng.create t.seed)
 
 let site_name t site =
@@ -26,21 +28,23 @@ let site_name t site =
 let note_stats t ~length ~distinct_pages =
   if t.stats = None then t.stats <- Some { length; distinct_pages }
 
-(* Both statistics come out of one replay, and [Trace_arena.compile]
-   deposits them as a side effect of packing, so a trace that has been
-   compiled (or measured once) never replays again for either query. *)
+(* Both statistics come out of one pull through the pattern's cursor,
+   and [Trace_arena.compile] deposits them as a side effect of packing,
+   so a trace that has been compiled (or measured once) never replays
+   again for either query. *)
 let computed_stats t =
   match t.stats with
   | Some s -> s
   | None ->
-    let seen = Hashtbl.create 1024 in
+    let next = cursor t in
+    let slot = Pattern.slot () in
+    let pages = Repro_util.Page_set.create () in
     let n = ref 0 in
-    Seq.iter
-      (fun (a : Access.t) ->
-        incr n;
-        Hashtbl.replace seen a.vpage ())
-      (events t);
-    let s = { length = !n; distinct_pages = Hashtbl.length seen } in
+    while next slot do
+      incr n;
+      Repro_util.Page_set.add pages slot.vpage
+    done;
+    let s = { length = !n; distinct_pages = Repro_util.Page_set.cardinal pages } in
     t.stats <- Some s;
     s
 

@@ -4,8 +4,8 @@
     Replays are the backbone of the PGO flow — the profiling run and the
     measured run both see streams rebuilt from the trace's seed, so "run
     the same binary again" is exact.  Hot consumers replay through
-    {!Trace_arena}, which compiles the stream once into packed buffers;
-    {!events} remains as the thin compatibility view over the pattern. *)
+    {!Trace_arena}, which packs the pattern's cursor once into columns;
+    {!events} is a [Seq] view over the same cursor. *)
 
 type stats = { length : int; distinct_pages : int }
 (** Whole-stream statistics, cached on the trace after the first full
@@ -28,11 +28,16 @@ val make :
   name:string -> elrange_pages:int -> footprint_pages:int -> seed:int ->
   sites:(int * string) list -> Pattern.t -> t
 
+val cursor : t -> Pattern.slot -> bool
+(** A fresh {!Pattern.instantiate} cursor over the stream, built from the
+    stored seed; successive calls yield identical streams. *)
+
 val events : t -> Access.t Seq.t
 (** A fresh single-consumption stream built from the stored seed.
-    Successive calls yield identical streams.  Compatibility view: one
-    [Access.t] record is allocated per step, and every call re-runs the
-    PRNG pattern — replay loops should go through {!Trace_arena}. *)
+    Successive calls yield identical streams.  A view over
+    {!Pattern.run}: one [Access.t] record is allocated per step, and
+    every call re-runs the PRNG pattern — replay loops should go through
+    {!Trace_arena}. *)
 
 val site_name : t -> int -> string
 (** Label of a site (falls back to ["site<i>"]). *)

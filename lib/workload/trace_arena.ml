@@ -1,24 +1,25 @@
 (* Compile a trace once into packed parallel buffers and replay it from
    there.
 
-   [Trace.events] re-runs the PRNG-driven pattern closure chain and
-   allocates one record per access, every time anyone looks at the
-   stream — and the experiment matrix looks at the same stream once per
-   scheme cell.  The arena pays that cost once: the stream is
-   materialised into four Bigarray int columns (site, vpage, compute,
-   thread), replays become tight index loops with no per-access
-   allocation, and compiled arenas are memoised process-wide and
-   (optionally) persisted to a checksummed on-disk cache so forked
-   workers and repeated CLI invocations decode instead of regenerating.
+   Generating the stream means running the pattern's cursor, which
+   draws from the PRNG for every access — and the experiment matrix
+   looks at the same stream once per scheme cell.  The arena pays that
+   cost once: the packer pulls the cursor straight into four Bigarray
+   int columns (site, vpage, compute, thread), replays become tight
+   index loops with no per-access allocation, and compiled arenas are
+   memoised process-wide and (optionally) persisted to a checksummed
+   on-disk cache so forked workers and repeated CLI invocations decode
+   instead of regenerating.
 
-   Identity.  A pattern is a closure, so it has no hashable structure;
-   the cache key is the trace's header (name, seed, elrange, footprint,
-   sites) plus a fingerprint of the first [fingerprint_events] accesses
-   the pattern actually generates.  Two traces that agree on all of that
-   and diverge only deeper into the stream would collide — the shipped
-   models never do (their streams are PRNG-seeded, so any difference
-   shows immediately), and the cost of the fingerprint is a bounded
-   prefix replay, not a full one. *)
+   Identity.  A pattern's leaves may carry a whole recorded event list,
+   so its tree is not a cheap key; the cache key is the trace's header
+   (name, seed, elrange, footprint, sites) plus a fingerprint of the
+   first [fingerprint_events] accesses the pattern actually generates.
+   Two traces that agree on all of that and diverge only deeper into
+   the stream would collide — the shipped models never do (their
+   streams are PRNG-seeded, so any difference shows immediately), and
+   the cost of the fingerprint is a bounded prefix pull, not a full
+   replay. *)
 
 module Codec = Trace_codec
 
@@ -70,16 +71,16 @@ let to_seq a =
 let fingerprint_events = 128
 
 let fingerprint trace =
+  let next = Trace.cursor trace and slot = Pattern.slot () in
   let h = ref Codec.(mix (mix 0 0x5eed) (String.length trace.Trace.name)) in
   let i = ref 0 in
-  (try
-     Seq.iter
-       (fun (a : Access.t) ->
-         if !i >= fingerprint_events then raise Exit;
-         incr i;
-         h := Codec.mix (Codec.mix (Codec.mix (Codec.mix !h a.site) a.vpage) a.compute) a.thread)
-       (Trace.events trace)
-   with Exit -> ());
+  while !i < fingerprint_events && next slot do
+    incr i;
+    h :=
+      Codec.mix
+        (Codec.mix (Codec.mix (Codec.mix !h slot.site) slot.vpage) slot.compute)
+        slot.thread
+  done;
   Codec.mix !h !i
 
 let key trace fp =
@@ -141,53 +142,50 @@ let store_cached k p =
 let compilations_counter = ref 0
 let compilations () = !compilations_counter
 
-(* Materialise [events] into packed columns under [trace]'s header. *)
-let build trace fp events =
-  let cap = ref 4096 in
-  let n = ref 0 in
-  let site = ref (Array.make !cap 0) in
-  let vpage = ref (Array.make !cap 0) in
-  let compute = ref (Array.make !cap 0) in
-  let thread = ref (Array.make !cap 0) in
-  let grow () =
-    let cap' = 2 * !cap in
-    let extend a = Array.append !a (Array.make !cap 0) in
-    site := extend site;
-    vpage := extend vpage;
-    compute := extend compute;
-    thread := extend thread;
-    cap := cap'
+let column n : Codec.buf = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
+
+(* Pull [next] to exhaustion straight into packed columns under
+   [trace]'s header.  The columns double as they fill and are trimmed
+   to the event count at the end, so the arena never holds growth
+   slack; distinct pages are counted on the way through. *)
+let pack trace fp next =
+  let cap = ref 4096 and n = ref 0 in
+  let site = ref (column !cap) and vpage = ref (column !cap) in
+  let compute = ref (column !cap) and thread = ref (column !cap) in
+  let resize c len =
+    let b = column len in
+    let keep = min len !cap in
+    Bigarray.Array1.blit (Bigarray.Array1.sub !c 0 keep) (Bigarray.Array1.sub b 0 keep);
+    c := b
   in
-  let distinct = Hashtbl.create 1024 in
-  Seq.iter
-    (fun (a : Access.t) ->
-      if !n = !cap then grow ();
-      let i = !n in
-      !site.(i) <- a.site;
-      !vpage.(i) <- a.vpage;
-      !compute.(i) <- a.compute;
-      !thread.(i) <- a.thread;
-      Hashtbl.replace distinct a.vpage ();
-      n := i + 1)
-    events;
-  let column src =
-    let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout !n in
-    for i = 0 to !n - 1 do
-      Bigarray.Array1.unsafe_set b i (Array.unsafe_get src i)
-    done;
-    b
+  let resize_all len =
+    List.iter (fun c -> resize c len) [ site; vpage; compute; thread ];
+    cap := len
   in
+  let pages = Repro_util.Page_set.create () in
+  let slot = Pattern.slot () in
+  while next slot do
+    let i = !n in
+    if i = !cap then resize_all (2 * i);
+    Bigarray.Array1.unsafe_set !site i slot.site;
+    Bigarray.Array1.unsafe_set !vpage i slot.vpage;
+    Bigarray.Array1.unsafe_set !compute i slot.compute;
+    Bigarray.Array1.unsafe_set !thread i slot.thread;
+    Repro_util.Page_set.add pages slot.vpage;
+    n := i + 1
+  done;
+  if !n < !cap then resize_all !n;
   {
     Codec.name = trace.Trace.name;
     seed = trace.Trace.seed;
     elrange_pages = trace.Trace.elrange_pages;
     footprint_pages = trace.Trace.footprint_pages;
     fingerprint = fp;
-    distinct_pages = Hashtbl.length distinct;
-    site = column !site;
-    vpage = column !vpage;
-    compute = column !compute;
-    thread = column !thread;
+    distinct_pages = Repro_util.Page_set.cardinal pages;
+    site = !site;
+    vpage = !vpage;
+    compute = !compute;
+    thread = !thread;
   }
 
 let memo : (string, t) Hashtbl.t = Hashtbl.create 16
@@ -205,7 +203,7 @@ let compile trace =
         | Some p -> p
         | None ->
           incr compilations_counter;
-          let p = build trace fp (Trace.events trace) in
+          let p = pack trace fp (Trace.cursor trace) in
           store_cached k p;
           p
       in
@@ -218,7 +216,20 @@ let compile trace =
 
 (* A derived stream has no cache identity: the fingerprint slot stays 0
    because the arena never reaches the memo or the disk. *)
-let of_seq trace events = { trace; packed = build trace 0 events }
+let of_seq trace events =
+  let rest = ref events in
+  let next (slot : Pattern.slot) =
+    match !rest () with
+    | Seq.Nil -> false
+    | Seq.Cons ((a : Access.t), tl) ->
+      rest := tl;
+      slot.site <- a.site;
+      slot.vpage <- a.vpage;
+      slot.compute <- a.compute;
+      slot.thread <- a.thread;
+      true
+  in
+  { trace; packed = pack trace 0 next }
 
 let cache_path trace =
   match cache_dir () with

@@ -1,7 +1,7 @@
 (** Compiled trace arenas: the allocation-free replay path.
 
-    {!compile} materialises a {!Trace.t}'s access stream once into
-    packed [Bigarray] int columns (site, vpage, compute, thread) and
+    {!compile} pulls a {!Trace.t}'s pattern cursor once, straight into
+    packed [Bigarray] int columns (site, vpage, compute, thread), and
     hands back an arena whose {!iter}/{!fold} replay it as a tight index
     loop — no PRNG work, no per-access record allocation.  Arenas are
     memoised process-wide (keyed on the trace's identity: header fields,

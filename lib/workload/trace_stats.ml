@@ -65,7 +65,6 @@ let hot_persistence_of arena ~events =
 
 let analyse trace =
   let arena = Trace_arena.compile trace in
-  let pages = Hashtbl.create 1024 in
   let sites = Hashtbl.create 64 in
   let threads = Hashtbl.create 8 in
   let events = ref 0 in
@@ -89,7 +88,6 @@ let analyse trace =
   Trace_arena.iter arena ~f:(fun ~site ~vpage ~compute ~thread ->
       incr events;
       total_compute := !total_compute + compute;
-      Hashtbl.replace pages vpage ();
       Hashtbl.replace sites site ();
       Hashtbl.replace threads thread ();
       let p = !prev in
@@ -112,7 +110,7 @@ let analyse trace =
   close_run ();
   {
     events = !events;
-    distinct_pages = Hashtbl.length pages;
+    distinct_pages = Trace_arena.distinct_pages arena;
     sites = Hashtbl.length sites;
     threads = Hashtbl.length threads;
     total_compute = !total_compute;

@@ -278,6 +278,24 @@ let test_arena_iter_fold_indexed_agree () =
     (arena_list a);
   checkb "trace accessor" true (Arena.trace a == t)
 
+let test_compile_allocation_free () =
+  (* The packer pulls the pattern's cursor straight into the columns: no
+     record, Seq node or staging array per event, only per-trace
+     constants (the cursor tree, the cache key, column growth). *)
+  Unix.putenv Arena.cache_env_var "";
+  let settings = { Sim.Experiments.default with epc_pages = 1024 } in
+  List.iter
+    (fun name ->
+      let trace = Sim.Experiments.trace_of settings name ~input:(Workload.Input.Ref 1) in
+      Arena.clear_memo ();
+      let before = Gc.minor_words () in
+      let a = Arena.compile trace in
+      let per_event = (Gc.minor_words () -. before) /. float_of_int (Arena.length a) in
+      checkb
+        (Printf.sprintf "%s: %.4f words/event < 0.1" name per_event)
+        true (per_event < 0.1))
+    [ "lbm"; "microbenchmark" ]
+
 let test_one_compilation_per_trace () =
   let t = mk ~name:"arena-once" ~seed:11 ~pages:16 () in
   let c0 = Arena.compilations () in
@@ -412,6 +430,7 @@ let () =
         [
           tc "iter/fold/indexed agree" test_arena_iter_fold_indexed_agree;
           tc "one compilation per trace" test_one_compilation_per_trace;
+          tc "compile allocation-free" test_compile_allocation_free;
         ]
         @ props [ arena_matches_events_prop ] );
       ( "cache",

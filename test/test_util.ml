@@ -104,6 +104,77 @@ let test_prng_shuffle_permutation () =
   Array.sort compare sorted;
   check Alcotest.(array int) "same multiset" (Array.init 50 Fun.id) sorted
 
+(* One fixed draw sequence over every entry point, rendered exactly
+   (ints, hex floats); the literals below were printed by the boxed-state
+   generator this one replaced, so any drift in the arithmetic or the
+   draw order shows here. *)
+let golden_draws seed =
+  let p = Prng.create seed in
+  let out = ref [] in
+  let add s = out := s :: !out in
+  let i64 p = Printf.sprintf "%Ld" (Prng.bits64 p) in
+  for _ = 1 to 3 do add (i64 p) done;
+  List.iter (fun b -> add (string_of_int (Prng.int p b))) [ 1; 7; 1000; max_int ];
+  add (string_of_int (Prng.int_in p (-5) 5));
+  add (string_of_int (Prng.int_in p 100 100_000));
+  add (Printf.sprintf "%h" (Prng.float p 1.0));
+  add (Printf.sprintf "%h" (Prng.float p 2.5));
+  add (string_of_bool (Prng.chance p 0.3));
+  add (string_of_bool (Prng.chance p 0.9));
+  add (string_of_bool (Prng.bool p));
+  add (string_of_int (Prng.geometric p 0.25));
+  add (string_of_int (Prng.geometric p 0.01));
+  for _ = 1 to 3 do add (string_of_int (Prng.zipf p ~n:1000 ~s:1.0)) done;
+  for _ = 1 to 3 do add (string_of_int (Prng.zipf p ~n:1000 ~s:1.2)) done;
+  add (i64 (Prng.copy p));
+  add (i64 (Prng.split p));
+  add (i64 p);
+  let a = Array.init 10 Fun.id in
+  Prng.shuffle p a;
+  add (String.concat "," (Array.to_list (Array.map string_of_int a)));
+  add (i64 p);
+  List.rev !out
+
+let test_prng_golden_vectors () =
+  check Alcotest.(list string) "seed 42"
+    [ "-7450291807549245335"; "2958219263312191191"; "3069497704473277141";
+      "0"; "5"; "528"; "1288224301085851122"; "5"; "2258";
+      "0x1.f34e1428846dcp-3"; "0x1.e93ec4cf6f4cfp+0"; "false"; "true"; "false";
+      "11"; "15"; "0"; "0"; "6"; "8"; "0"; "450";
+      "1286141907103680259"; "3824004739411082779"; "-7870389026231118164";
+      "9,1,3,8,2,4,6,5,7,0"; "-3505518668393164538" ]
+    (golden_draws 42);
+  check Alcotest.(list string) "seed 0x5eed1234"
+    [ "-5277034159766132582"; "-6014867224569886961"; "-34212710676165803";
+      "0"; "5"; "54"; "1211968693384723684"; "5"; "18883";
+      "0x1.c92f0f2dbe876p-2"; "0x1.3e390ac303cddp+0"; "false"; "true"; "true";
+      "0"; "12"; "10"; "3"; "0"; "6"; "7"; "136";
+      "2604883818296300913"; "-4592015385954587262"; "-3180870137845090292";
+      "2,7,1,8,6,3,4,0,5,9"; "-2860285619292254360" ]
+    (golden_draws 0x5eed1234)
+
+let test_prng_draws_allocation_free () =
+  (* The state is unboxed, so a bounded draw, a coin and a zipf draw
+     allocate nothing. *)
+  let p = Prng.create 13 in
+  let sink = ref 0 in
+  let loop n =
+    for _ = 1 to n do
+      sink := !sink + Prng.int p 1000 + Prng.int_in p (-3) 3
+    done
+  in
+  loop 100;
+  let before = Gc.minor_words () in
+  loop 100_000;
+  checkb "int loop allocates nothing" true (Gc.minor_words () -. before < 100.);
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    if Prng.chance p 0.5 then incr sink;
+    sink := !sink + Prng.zipf p ~n:500 ~s:1.1
+  done;
+  checkb "chance and zipf allocate nothing" true (Gc.minor_words () -. before < 100.);
+  ignore !sink
+
 let prng_qcheck =
   [
     QCheck2.Test.make ~name:"int always within bound" ~count:500
@@ -677,6 +748,21 @@ let bitset_qcheck =
 (* ------------------------------------------------------------------ *)
 
 (* The obviously-correct LRU: a list, most recently touched first. *)
+let page_set_qcheck =
+  [
+    QCheck2.Test.make ~name:"page_set counts distinct pages" ~count:300
+      QCheck2.Gen.(list (oneof [ int_range 0 40; int_range 0 100_000 ]))
+      (fun pages ->
+        let set = Repro_util.Page_set.create () in
+        List.iter (Repro_util.Page_set.add set) pages;
+        Repro_util.Page_set.cardinal set = List.length (List.sort_uniq compare pages));
+  ]
+
+let test_page_set_rejects_negative () =
+  Alcotest.check_raises "negative page"
+    (Invalid_argument "Page_set.add: negative page")
+    (fun () -> Repro_util.Page_set.add (Repro_util.Page_set.create ()) (-1))
+
 module Ref_lru = struct
   type t = { cap : int; mutable items : int list }
 
@@ -820,6 +906,8 @@ let () =
           tc "zipf bounds" test_prng_zipf_bounds;
           tc "zipf skew" test_prng_zipf_skew;
           tc "shuffle permutation" test_prng_shuffle_permutation;
+          tc "golden vectors" test_prng_golden_vectors;
+          tc "draws allocation-free" test_prng_draws_allocation_free;
         ]
         @ props prng_qcheck );
       ( "stats",
@@ -878,6 +966,8 @@ let () =
           tc "copy equal" test_bitset_copy_equal;
         ]
         @ props bitset_qcheck );
+      ( "page_set",
+        tc "rejects negative" test_page_set_rejects_negative :: props page_set_qcheck );
       ( "page_lru",
         [
           tc "grows with pages, not capacity"

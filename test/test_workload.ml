@@ -181,6 +181,19 @@ let test_take () =
   let accs = collect (Pattern.take 2 (seq_leaf 0)) in
   Alcotest.(check (list int)) "prefix" [ 0; 1 ] (pages_of accs)
 
+let test_bad_counts_rejected_at_construction () =
+  Alcotest.check_raises "negative take" (Invalid_argument "Pattern.take: negative count")
+    (fun () -> ignore (Pattern.take (-1) (seq_leaf 0)));
+  List.iter
+    (fun w ->
+      Alcotest.check_raises
+        (Printf.sprintf "weight %d" w)
+        (Invalid_argument "Pattern.weighted_interleave: weight must be positive")
+        (fun () ->
+          ignore (Pattern.weighted_interleave [ (2, seq_leaf 0); (w, seq_leaf 10) ])))
+    [ 0; -3 ];
+  Alcotest.(check (list int)) "take 0 is empty" [] (pages_of (collect (Pattern.take 0 (seq_leaf 0))))
+
 let test_interleave_exhausts_all () =
   let accs = collect (Pattern.interleave [ seq_leaf 0; seq_leaf 10; seq_leaf 20 ]) in
   checki "all events survive the merge" 9 (List.length accs);
@@ -287,6 +300,162 @@ let pattern_qcheck =
           accs;
         Hashtbl.length counts = pages
         && Hashtbl.fold (fun _ c ok -> ok && c = 2) counts true);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Differential lock: cursor vs the Seq reference                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Pull [pattern] through the cursor and through {!Pattern_ref} from the
+   same seed in lockstep.  [Ok n]: both gave the same [n] events, ended
+   together, and left their PRNGs in the same state (one more draw from
+   each agrees).  [Error]: where and how they parted. *)
+let against_reference ~seed pattern =
+  let prng = Prng.create seed and ref_prng = Prng.create seed in
+  let next = Pattern.instantiate pattern prng and slot = Pattern.slot () in
+  let reference = Pattern_ref.run (Pattern_ref.of_pattern pattern) ref_prng in
+  let rec go n (rest : Access.t Seq.t) =
+    let pulled = next slot in
+    match (pulled, rest ()) with
+    | false, Seq.Nil ->
+      if Prng.bits64 prng = Prng.bits64 ref_prng then Ok n
+      else Error (Printf.sprintf "PRNG end state differs after %d events" n)
+    | true, Seq.Cons (a, rest)
+      when a.site = slot.site && a.vpage = slot.vpage && a.compute = slot.compute
+           && a.thread = slot.thread ->
+      go (n + 1) rest
+    | true, Seq.Cons (a, _) ->
+      Error
+        (Format.asprintf "event %d: cursor site=%d page=%d compute=%d thread=%d, reference %a"
+           n slot.site slot.vpage slot.compute slot.thread Access.pp a)
+    | true, Seq.Nil -> Error (Printf.sprintf "cursor runs past the reference at %d" n)
+    | false, Seq.Cons _ -> Error (Printf.sprintf "cursor stops early at %d" n)
+  in
+  go 0 reference
+
+let test_registry_matches_reference () =
+  List.iter
+    (fun epc_pages ->
+      let settings = { Sim.Experiments.default with epc_pages } in
+      List.iter
+        (fun name ->
+          List.iter
+            (fun input ->
+              let trace = Sim.Experiments.trace_of settings name ~input in
+              match against_reference ~seed:trace.Trace.seed trace.Trace.pattern with
+              | Ok _ -> ()
+              | Error msg ->
+                Alcotest.failf "%s %s epc=%d: %s" name (Input.to_string input)
+                  epc_pages msg)
+            [ Input.Train; Input.Ref 0; Input.Ref 1; Input.Ref 2 ])
+        (Sim.Experiments.workload_names ()))
+    [ 64; 1024; 2048 ]
+
+(* Random blueprint trees over every leaf and combinator, biased to the
+   edges: zero-page strided sweeps and multi-stream streams, empty
+   leaves, [repeat 0] / [take 0], children that run dry inside a
+   weighted merge, nested [parallel]/[on_thread], recorded events. *)
+let gen_pattern =
+  let open QCheck2.Gen in
+  let site = int_range 0 5 and base = int_range 0 40 in
+  let compute = oneofl [ 0; 7; 100 ] and jitter = oneofl [ 0.0; 0.3; 1.5 ] in
+  let events = int_range 0 8 and epp = int_range 1 3 in
+  let leaf =
+    oneof
+      [
+        map3
+          (fun (site, base, pages) epp (compute, jitter) ->
+            Pattern.sequential ~site ~base ~pages ~events_per_page:epp ~compute ~jitter)
+          (triple site base (int_range 0 6)) epp (pair compute jitter);
+        map3
+          (fun (site, base, pages) epp (compute, jitter) ->
+            Pattern.sequential_desc ~site ~base ~pages ~events_per_page:epp ~compute
+              ~jitter)
+          (triple site base (int_range 0 6)) epp (pair compute jitter);
+        map3
+          (fun (site, base, pages) (stride, epp) (compute, jitter) ->
+            Pattern.strided ~site ~base ~pages ~stride ~events_per_page:epp ~compute
+              ~jitter)
+          (triple site base (int_range 0 9)) (pair (int_range 1 4) epp)
+          (pair compute jitter);
+        map3
+          (fun site streams (epp, compute, jitter) ->
+            Pattern.multi_stream ~site ~streams ~events_per_page:epp ~compute ~jitter)
+          site
+          (list_size (int_range 1 3) (pair base (int_range 0 4)))
+          (triple epp compute jitter);
+        map3
+          (fun (site, base, pages) events (compute, jitter) ->
+            Pattern.uniform_random ~site ~base ~pages ~events ~compute ~jitter)
+          (triple site base (int_range 1 8)) events (pair compute jitter);
+        map3
+          (fun (site, base, pages) (events, s) (compute, jitter) ->
+            Pattern.zipf ~site ~base ~pages ~events ~s ~compute ~jitter)
+          (triple site base (int_range 1 20)) (pair events (oneofl [ 0.8; 1.0; 1.2 ]))
+          (pair compute jitter);
+        map3
+          (fun (site, base, pages) (events, locality) (compute, jitter) ->
+            Pattern.pointer_chase ~site ~base ~pages ~events ~locality ~compute ~jitter)
+          (triple site base (int_range 1 10))
+          (pair events (oneofl [ 0.0; 0.5; 1.0 ]))
+          (pair compute jitter);
+        map3
+          (fun (site, base, pages) (events, run_min, extra) (epp, compute, jitter) ->
+            Pattern.bursty ~site ~base ~pages ~events ~run_min ~run_max:(run_min + extra)
+              ~events_per_page:epp ~compute ~jitter)
+          (triple site base (int_range 1 12))
+          (triple (int_range 0 10) (int_range 1 3) (int_range 0 3))
+          (triple epp compute jitter);
+        map3
+          (fun (site, hot_pages, cold_pages) (events, irregular_ratio) (compute, jitter) ->
+            Pattern.mixed_site ~site ~hot_base:0 ~hot_pages ~cold_base:50 ~cold_pages
+              ~events ~irregular_ratio ~compute ~jitter)
+          (triple site (int_range 1 5) (int_range 1 5))
+          (pair events (oneofl [ 0.0; 0.3; 1.0 ]))
+          (pair compute jitter);
+        map
+          (fun evs ->
+            Pattern.of_events
+              (List.map
+                 (fun (site, vpage, compute, thread) ->
+                   Access.make ~site ~vpage ~compute ~thread ())
+                 evs))
+          (list_size (int_range 0 4)
+             (quad site base compute (int_range 0 3)));
+        pure Pattern.empty;
+      ]
+  in
+  let children self = list_size (int_range 0 3) self in
+  sized_size (int_range 0 3)
+  @@ fix (fun self depth ->
+         if depth = 0 then leaf
+         else
+           let sub = self (depth - 1) in
+           frequency
+             [
+               (2, leaf);
+               (1, map Pattern.seq_list (children sub));
+               (1, map Pattern.interleave (children sub));
+               ( 2,
+                 map Pattern.weighted_interleave
+                   (list_size (int_range 0 4) (pair (int_range 1 5) sub)) );
+               (1, map2 Pattern.repeat (int_range 0 3) sub);
+               (1, map2 Pattern.take (int_range 0 6) sub);
+               (1, map2 Pattern.on_thread (int_range 0 3) sub);
+               ( 1,
+                 map Pattern.parallel
+                   (list_size (int_range 0 3) (pair (int_range 0 3) sub)) );
+             ])
+
+let differential_qcheck =
+  [
+    QCheck2.Test.make ~name:"random pattern trees match the Seq reference"
+      ~count:500 ~print:(fun (seed, _) -> Printf.sprintf "seed %d" seed)
+      QCheck2.Gen.(pair (int_range 0 1_000_000) gen_pattern)
+      (fun (seed, pattern) ->
+        match against_reference ~seed pattern with
+        | Ok _ -> true
+        | Error msg -> QCheck2.Test.fail_report msg);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -734,6 +903,8 @@ let () =
           tc "seq_list" test_seq_list_concatenates;
           tc "repeat" test_repeat;
           tc "take" test_take;
+          tc "bad counts rejected at construction"
+            test_bad_counts_rejected_at_construction;
           tc "interleave exhausts" test_interleave_exhausts_all;
           tc "weighted interleave" test_weighted_interleave_respects_weights;
           tc "empty" test_empty_pattern;
@@ -743,6 +914,10 @@ let () =
           tc "mt model validation" test_mt_models_validate;
         ]
         @ props pattern_qcheck );
+      ( "pattern_ref",
+        Alcotest.test_case "registry models match the Seq reference" `Slow
+          test_registry_matches_reference
+        :: props differential_qcheck );
       ( "trace",
         [
           tc "replay identical" test_trace_replay_identical;
