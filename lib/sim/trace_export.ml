@@ -195,100 +195,74 @@ let chrome_trace (r : Runner.result) =
 (* Result rows: JSONL / CSV                                            *)
 (* ------------------------------------------------------------------ *)
 
-let row_fields (r : Runner.result) =
-  let m = r.metrics in
-  let d = r.diagnostics in
+(* One static column list: the JSONL keys, the CSV header and the CSV
+   cells are all read off it, so they cannot drift apart. *)
+let row_fields : (string * (Runner.result -> string)) list =
+  let int f (r : Runner.result) = string_of_int (f r) in
+  let bool f (r : Runner.result) = if f r then "true" else "false" in
+  let metric f = int (fun r -> f r.metrics) in
+  let online ~none f (r : Runner.result) =
+    Option.fold ~none ~some:f r.diagnostics.online
+  in
   [
-    ("workload", str r.workload);
-    ("input", str r.input);
-    ("scheme", str r.scheme);
-    ("cycles", string_of_int r.cycles);
-    ("final_now", string_of_int r.final_now);
-    ("cyc_compute", string_of_int m.cyc_compute);
-    ("cyc_access", string_of_int m.cyc_access);
-    ("cyc_aex", string_of_int m.cyc_aex);
-    ("cyc_eresume", string_of_int m.cyc_eresume);
-    ("cyc_os_handler", string_of_int m.cyc_os_handler);
-    ("cyc_load_wait", string_of_int m.cyc_load_wait);
-    ("cyc_bitmap_check", string_of_int m.cyc_bitmap_check);
-    ("cyc_notify", string_of_int m.cyc_notify);
-    ("cyc_sip_wait", string_of_int m.cyc_sip_wait);
-    ("cyc_restart", string_of_int m.cyc_restart);
-    ("accesses", string_of_int m.accesses);
-    ("faults", string_of_int m.faults);
-    ("faults_in_flight", string_of_int m.faults_in_flight);
-    ("faults_already_present", string_of_int m.faults_already_present);
-    ("total_faults", string_of_int (Metrics.total_faults m));
-    ("preloads_issued", string_of_int m.preloads_issued);
-    ("preloads_rejected_breaker", string_of_int m.preloads_rejected_breaker);
-    ("preloads_completed", string_of_int m.preloads_completed);
-    ("preloads_aborted", string_of_int m.preloads_aborted);
-    ("preloads_taken_over", string_of_int m.preloads_taken_over);
-    ("preloads_skipped", string_of_int m.preloads_skipped);
-    ("preload_hits", string_of_int m.preload_hits);
-    ("preload_evicted_unused", string_of_int m.preload_evicted_unused);
-    ("evictions", string_of_int m.evictions);
-    ("sip_checks", string_of_int m.sip_checks);
-    ("sip_notifies", string_of_int m.sip_notifies);
-    ("scans", string_of_int m.scans);
-    ("crashes", string_of_int m.crashes);
-    ("crash_pages_lost", string_of_int m.crash_pages_lost);
-    ("dfp_stopped", if r.dfp_stopped then "true" else "false");
-    ("instrumentation_points", string_of_int r.instrumentation_points);
-    ("pending_preloads", string_of_int d.Runner.pending_preloads);
-    ("in_flight_preloads", string_of_int d.Runner.in_flight_preloads);
+    ("workload", fun r -> str r.workload);
+    ("input", fun r -> str r.input);
+    ("scheme", fun r -> str r.scheme);
+    ("cycles", int (fun r -> r.cycles));
+    ("final_now", int (fun r -> r.final_now));
+    ("cyc_compute", metric (fun m -> m.cyc_compute));
+    ("cyc_access", metric (fun m -> m.cyc_access));
+    ("cyc_aex", metric (fun m -> m.cyc_aex));
+    ("cyc_eresume", metric (fun m -> m.cyc_eresume));
+    ("cyc_os_handler", metric (fun m -> m.cyc_os_handler));
+    ("cyc_load_wait", metric (fun m -> m.cyc_load_wait));
+    ("cyc_bitmap_check", metric (fun m -> m.cyc_bitmap_check));
+    ("cyc_notify", metric (fun m -> m.cyc_notify));
+    ("cyc_sip_wait", metric (fun m -> m.cyc_sip_wait));
+    ("cyc_restart", metric (fun m -> m.cyc_restart));
+    ("accesses", metric (fun m -> m.accesses));
+    ("faults", metric (fun m -> m.faults));
+    ("faults_in_flight", metric (fun m -> m.faults_in_flight));
+    ("faults_already_present", metric (fun m -> m.faults_already_present));
+    ("total_faults", metric Metrics.total_faults);
+    ("preloads_issued", metric (fun m -> m.preloads_issued));
+    ("preloads_rejected_breaker", metric (fun m -> m.preloads_rejected_breaker));
+    ("preloads_completed", metric (fun m -> m.preloads_completed));
+    ("preloads_aborted", metric (fun m -> m.preloads_aborted));
+    ("preloads_taken_over", metric (fun m -> m.preloads_taken_over));
+    ("preloads_skipped", metric (fun m -> m.preloads_skipped));
+    ("preload_hits", metric (fun m -> m.preload_hits));
+    ("preload_evicted_unused", metric (fun m -> m.preload_evicted_unused));
+    ("evictions", metric (fun m -> m.evictions));
+    ("sip_checks", metric (fun m -> m.sip_checks));
+    ("sip_notifies", metric (fun m -> m.sip_notifies));
+    ("scans", metric (fun m -> m.scans));
+    ("crashes", metric (fun m -> m.crashes));
+    ("crash_pages_lost", metric (fun m -> m.crash_pages_lost));
+    ("dfp_stopped", bool (fun r -> r.dfp_stopped));
+    ("instrumentation_points", int (fun r -> r.instrumentation_points));
+    ("pending_preloads", int (fun r -> r.diagnostics.pending_preloads));
+    ("in_flight_preloads", int (fun r -> r.diagnostics.in_flight_preloads));
     ( "in_flight_kind",
-      str
-        (match d.Runner.in_flight_kind with
-        | None -> "none"
-        | Some k -> kind_str k) );
-    ("resident_at_end", string_of_int d.Runner.resident_at_end);
-    ("events_truncated", if d.Runner.events_truncated then "true" else "false");
+      fun r ->
+        str (Option.fold ~none:"none" ~some:kind_str r.diagnostics.in_flight_kind) );
+    ("resident_at_end", int (fun r -> r.diagnostics.resident_at_end));
+    ("events_truncated", bool (fun r -> r.diagnostics.events_truncated));
     ( "online_mode",
-      str
-        (match d.Runner.online with
-        | None -> "none"
-        | Some s -> Preload.Online.mode_name s.Preload.Online.final_mode) );
+      online ~none:(str "none") (fun s ->
+          str (Preload.Online.mode_name s.Preload.Online.final_mode)) );
     ( "online_transitions",
-      string_of_int
-        (match d.Runner.online with
-        | None -> 0
-        | Some s -> List.length s.Preload.Online.s_transitions) );
+      online ~none:"0" (fun s ->
+          string_of_int (List.length s.Preload.Online.s_transitions)) );
     ( "online_phase_shifts",
-      string_of_int
-        (match d.Runner.online with
-        | None -> 0
-        | Some s -> s.Preload.Online.s_phase_shifts) );
+      online ~none:"0" (fun s -> string_of_int s.Preload.Online.s_phase_shifts) );
     ( "online_instrumented",
-      string_of_int
-        (match d.Runner.online with
-        | None -> 0
-        | Some s -> s.Preload.Online.s_instrumented) );
+      online ~none:"0" (fun s -> string_of_int s.Preload.Online.s_instrumented) );
   ]
 
-let jsonl_row r = obj (row_fields r)
+let jsonl_row r = obj (List.map (fun (name, get) -> (name, get r)) row_fields)
 
-let csv_header =
-  (* Field order is fixed by [row_fields]; building the header from a
-     dummy evaluation would need a result, so keep the literal in sync
-     via the test that zips header and row widths. *)
-  String.concat ","
-    [
-      "workload"; "input"; "scheme"; "cycles"; "final_now"; "cyc_compute";
-      "cyc_access"; "cyc_aex"; "cyc_eresume"; "cyc_os_handler"; "cyc_load_wait";
-      "cyc_bitmap_check"; "cyc_notify"; "cyc_sip_wait"; "cyc_restart";
-      "accesses"; "faults";
-      "faults_in_flight"; "faults_already_present"; "total_faults";
-      "preloads_issued"; "preloads_rejected_breaker"; "preloads_completed";
-      "preloads_aborted";
-      "preloads_taken_over"; "preloads_skipped"; "preload_hits";
-      "preload_evicted_unused"; "evictions"; "sip_checks"; "sip_notifies";
-      "scans"; "crashes"; "crash_pages_lost"; "dfp_stopped";
-      "instrumentation_points"; "pending_preloads";
-      "in_flight_preloads"; "in_flight_kind"; "resident_at_end";
-      "events_truncated"; "online_mode"; "online_transitions";
-      "online_phase_shifts"; "online_instrumented";
-    ]
+let csv_header = String.concat "," (List.map fst row_fields)
 
 let csv_cell value =
   (* JSON string values arrive quoted; CSV wants them bare (workload and
@@ -297,7 +271,7 @@ let csv_cell value =
   if n >= 2 && value.[0] = '"' && value.[n - 1] = '"' then String.sub value 1 (n - 2)
   else value
 
-let csv_row r = String.concat "," (List.map (fun (_, x) -> csv_cell x) (row_fields r))
+let csv_row r = String.concat "," (List.map (fun (_, get) -> csv_cell (get r)) row_fields)
 
 (* ------------------------------------------------------------------ *)
 (* The one rendering entry point                                       *)

@@ -165,7 +165,11 @@ val strided :
   compute:int -> jitter:float -> t
 (** Column-major sweep: consecutive accesses are [stride] pages apart
     ([stride >= 2] defeats next-page stream detection — the roms/wrf
-    trap for DFP). *)
+    trap for DFP).
+
+    [pages = 0] is not an empty sweep: it emits exactly one access, to
+    [base], whatever [stride] and [events_per_page] are.  No registry
+    model reaches this case: {!Spec} floors its page counts at 1. *)
 
 val multi_stream :
   site:int -> streams:(int * int) list -> events_per_page:int -> compute:int ->

@@ -23,9 +23,8 @@
 
 module Codec = Trace_codec
 
-type t = { trace : Trace.t; packed : Codec.packed }
+type t = { packed : Codec.packed }
 
-let trace a = a.trace
 let length a = Codec.length a.packed
 let distinct_pages a = a.packed.Codec.distinct_pages
 
@@ -49,12 +48,6 @@ let iter a ~f =
       ~compute:(Bigarray.Array1.unsafe_get c i)
       ~thread:(Bigarray.Array1.unsafe_get th i)
   done
-
-let fold a ~init ~f =
-  let acc = ref init in
-  iter a ~f:(fun ~site ~vpage ~compute ~thread ->
-      acc := f !acc ~site ~vpage ~compute ~thread);
-  !acc
 
 let get a i : Access.t =
   { site = site a i; vpage = vpage a i; compute = compute a i; thread = thread a i }
@@ -207,7 +200,7 @@ let compile trace =
           store_cached k p;
           p
       in
-      let a = { trace; packed } in
+      let a = { packed } in
       Hashtbl.replace memo k a;
       a
   in
@@ -229,7 +222,7 @@ let of_seq trace events =
       slot.thread <- a.thread;
       true
   in
-  { trace; packed = pack trace 0 next }
+  { packed = pack trace 0 next }
 
 let cache_path trace =
   match cache_dir () with

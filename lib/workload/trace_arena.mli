@@ -2,7 +2,7 @@
 
     {!compile} pulls a {!Trace.t}'s pattern cursor once, straight into
     packed [Bigarray] int columns (site, vpage, compute, thread), and
-    hands back an arena whose {!iter}/{!fold} replay it as a tight index
+    hands back an arena whose {!iter} replays it as a tight index
     loop — no PRNG work, no per-access record allocation.  Arenas are
     memoised process-wide (keyed on the trace's identity: header fields,
     sites, and a fingerprint of the stream's first accesses) and, when
@@ -31,7 +31,6 @@ val of_seq : Trace.t -> Access.t Seq.t -> t
     counted by {!compilations}: [trace]'s own statistics keep describing
     its own stream. *)
 
-val trace : t -> Trace.t
 val length : t -> int
 val distinct_pages : t -> int
 
@@ -41,12 +40,6 @@ val iter :
   t -> f:(site:int -> vpage:int -> compute:int -> thread:int -> unit) -> unit
 (** In-order replay; the callback receives unboxed ints, so the loop
     allocates nothing per access. *)
-
-val fold :
-  t ->
-  init:'a ->
-  f:('a -> site:int -> vpage:int -> compute:int -> thread:int -> 'a) ->
-  'a
 
 val site : t -> int -> int
 val vpage : t -> int -> int

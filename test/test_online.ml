@@ -5,7 +5,6 @@
    controller takes carries a CLOCK-scan timestamp). *)
 
 module Runner = Sim.Runner
-module Macro_bench = Sim.Macro_bench
 module Scheme = Preload.Scheme
 module Online = Preload.Online
 module Metrics = Sgxsim.Metrics
@@ -24,10 +23,10 @@ let mixed_trace () =
 
 (* Multi-threaded queue-stress trace for the randomized properties. *)
 let stress_trace seed =
-  Macro_bench.queue_stress
+  Queue_stress.trace
     {
-      Macro_bench.smoke with
-      Macro_bench.label = Printf.sprintf "online-prop-%d" seed;
+      Queue_stress.smoke with
+      label = Printf.sprintf "online-prop-%d" seed;
       events = 4_000;
       threads = 3;
       streams_per_thread = 5;

@@ -181,8 +181,8 @@ let test_queue_stress_latency_fits () =
      wait can outlast it many times over, and every such observation
      fell into overflow, biasing the reported mean low.  Auto-expansion
      must keep the overflow bucket empty on this trace too. *)
-  let s = { Sim.Macro_bench.smoke with events = 20_000 } in
-  let stress = Sim.Macro_bench.queue_stress s in
+  let s = { Queue_stress.smoke with events = 20_000 } in
+  let stress = Queue_stress.trace s in
   let config = { Runner.default_config with epc_pages = s.epc_pages } in
   let r = Runner.run ~spec:(Runner.Spec.make ~config ()) ~scheme:Scheme.dfp_default stress in
   checkb "stress run faults at all" true (Metrics.total_faults r.metrics > 0);

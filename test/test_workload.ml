@@ -59,6 +59,16 @@ let test_strided_covers_all_pages_once () =
   | _ -> Alcotest.fail "unexpected");
   ()
 
+let test_strided_zero_pages () =
+  (* The documented contract for an empty strided sweep: one access, at
+     [base], whatever the stride and events per page. *)
+  let accs =
+    collect
+      (Pattern.strided ~site:0 ~base:7 ~pages:0 ~stride:3 ~events_per_page:2
+         ~compute:0 ~jitter:0.0)
+  in
+  Alcotest.(check (list int)) "one access at base" [ 7 ] (pages_of accs)
+
 let test_multi_stream_exhausts_all () =
   let accs =
     collect
@@ -890,6 +900,7 @@ let () =
           tc "sequential order" test_sequential_order;
           tc "sequential desc" test_sequential_desc_order;
           tc "strided coverage" test_strided_covers_all_pages_once;
+          tc "strided zero pages" test_strided_zero_pages;
           tc "multi-stream exhausts" test_multi_stream_exhausts_all;
           tc "uniform bounds" test_uniform_random_bounds;
           tc "zipf bounds and skew" test_zipf_bounds_and_skew;
